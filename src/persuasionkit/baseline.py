@@ -9,6 +9,7 @@ start at 0.5 and can be tuned by coordinate ascent on dev HF1.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -94,6 +95,12 @@ class FeatureStats:
     missing_caption: int = 0
 
 
+# About 20 MB when full; a corpus with more distinct n-grams keeps its
+# most recent ones cached.
+_HASH_MEMO_SIZE = 2**16
+
+
+@functools.lru_cache(maxsize=_HASH_MEMO_SIZE)
 def _hash_feature(feature: str, dim: int) -> tuple[int, float]:
     # Stable across processes and platforms, unlike builtin hash().
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
@@ -243,16 +250,20 @@ def train(
 
     active = np.flatnonzero(trainable)
     if active.size:
-        Wa = np.zeros((fcfg.dimension, active.size), dtype=np.float64)
+        # A column no document touches starts at 0 and the L2 update keeps
+        # it there, so descending on the used columns alone is exact.
+        used = np.unique(X.indices)
+        Xu = X[:, used]
+        Wa = np.zeros((used.size, active.size), dtype=np.float64)
         Ba = np.zeros(active.size, dtype=np.float64)
         Ya = Y[:, active]
-        XT = X.T.tocsr()
+        XT = Xu.T.tocsr()
         for _ in range(tcfg.epochs):
-            P = expit(X @ Wa + Ba)
+            P = expit(Xu @ Wa + Ba)
             E = (P - Ya) / n
             Wa -= tcfg.learning_rate * (XT @ E + tcfg.l2 * Wa)
             Ba -= tcfg.learning_rate * E.sum(axis=0)
-        W[:, active] = Wa
+        W[np.ix_(used, active)] = Wa
         B[active] = Ba
 
     return HierModel(
@@ -297,6 +308,15 @@ def predict(
     one the model was trained against.
     """
     _check_hierarchy(model, h)
+    return _predict_checked(model, h, inst, stats)
+
+
+def _predict_checked(
+    model: HierModel,
+    h: LabelHierarchy,
+    inst: MemeInstance,
+    stats: FeatureStats | None,
+) -> frozenset[str]:
     scores = _scores_for(model, inst, stats)
     chosen = [lab for lab, s, t in zip(model.labels, scores, model.thresholds) if s > t]
     return h.extend(chosen)
@@ -309,7 +329,7 @@ def predict_corpus(
     stats: FeatureStats | None = None,
 ) -> dict[str, frozenset[str]]:
     _check_hierarchy(model, h)
-    return {inst.id: predict(model, h, inst, stats) for inst in corpus}
+    return {inst.id: _predict_checked(model, h, inst, stats) for inst in corpus}
 
 
 THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))  # 0.05 .. 0.95
@@ -395,35 +415,78 @@ def save_model(model: HierModel) -> bytes:
                        separators=(",", ":")) + "\n").encode("utf-8")
 
 
+_MODEL_KEYS = ("labels", "feature_config", "hierarchy_fingerprint", "seed",
+               "bias", "thresholds", "weight_rows", "weights")
+_FEATURE_KEYS = ("dimension", "word_orders", "char_orders", "mode")
+
+
 def load_model(data: bytes) -> HierModel:
-    """Inverse of save_model; validates kind and format version."""
+    """Inverse of save_model; validates kind, format version and structure.
+
+    Raises ValueError naming the problem for a file that is not a model,
+    lacks a key, or whose weights, bias or thresholds disagree in shape
+    with its labels and feature dimension.
+    """
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"not a model file: {exc}") from None
-    if payload.get("kind") != _MODEL_KIND:
+    if not isinstance(payload, dict) or payload.get("kind") != _MODEL_KIND:
         raise ValueError("not a model file (bad kind marker)")
     if payload.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {payload.get('format_version')!r}"
         )
-    fc = payload["feature_config"]
-    cfg = FeatureConfig(
-        dimension=int(fc["dimension"]),
-        word_orders=tuple(fc["word_orders"]),
-        char_orders=tuple(fc["char_orders"]),
-        mode=fc["mode"],
-    )
-    labels = tuple(payload["labels"])
-    W = np.zeros((cfg.dimension, len(labels)), dtype=np.float64)
-    for i, row in zip(payload["weight_rows"], payload["weights"]):
-        W[i] = row
+    missing = [k for k in _MODEL_KEYS if k not in payload]
+    fc = payload.get("feature_config", {})
+    if not isinstance(fc, dict):
+        raise ValueError("model file: feature_config is not an object")
+    missing += [f"feature_config.{k}" for k in _FEATURE_KEYS if k not in fc]
+    if missing:
+        raise ValueError(f"model file is missing {', '.join(missing)}")
+    try:
+        cfg = FeatureConfig(
+            dimension=int(fc["dimension"]),
+            word_orders=tuple(fc["word_orders"]),
+            char_orders=tuple(fc["char_orders"]),
+            mode=fc["mode"],
+        )
+        seed = int(payload["seed"])
+        bias = np.asarray(payload["bias"], dtype=np.float64)
+        thresholds = np.asarray(payload["thresholds"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model file: {exc}") from None
+    labels = payload["labels"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("model file: labels must be a list of strings")
+    n = len(labels)
+    for name, arr in (("bias", bias), ("thresholds", thresholds)):
+        if arr.shape != (n,):
+            raise ValueError(f"model file: {name} must hold {n} numbers, one per label")
+    rows, weights = payload["weight_rows"], payload["weights"]
+    if not isinstance(rows, list) or not isinstance(weights, list) or len(rows) != len(weights):
+        raise ValueError("model file: weight_rows and weights must be lists of equal length")
+    for i, row in zip(rows, weights):
+        if type(i) is not int or not 0 <= i < cfg.dimension:
+            raise ValueError(
+                f"model file: weight row index {i!r} is not an integer in "
+                f"[0, {cfg.dimension})"
+            )
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"model file: weight row {i} must hold {n} numbers, one per label")
+    if len(set(rows)) != len(rows):
+        raise ValueError("model file: weight_rows repeats an index")
+    W = np.zeros((cfg.dimension, n), dtype=np.float64)
+    try:
+        W[rows] = np.asarray(weights, dtype=np.float64).reshape(len(rows), n)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model file: {exc}") from None
     return HierModel(
-        labels=labels,
+        labels=tuple(labels),
         feature_config=cfg,
         hierarchy_fingerprint=payload["hierarchy_fingerprint"],
-        seed=int(payload["seed"]),
+        seed=seed,
         weights=W,
-        bias=np.asarray(payload["bias"], dtype=np.float64),
-        thresholds=np.asarray(payload["thresholds"], dtype=np.float64),
+        bias=bias,
+        thresholds=thresholds,
     )

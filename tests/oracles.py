@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from scipy.special import expit
 
 
 # -- hierarchy ---------------------------------------------------------------
@@ -148,6 +149,38 @@ def brute_bootstrap(score_fn, gold: dict, pred: dict, resamples, seed, confidenc
     alpha = (1.0 - confidence) / 2.0
     lo, hi = np.percentile(stats, [100 * alpha, 100 * (1 - alpha)])
     return point, min(float(lo), point), max(float(hi), point)
+
+
+# -- training ------------------------------------------------------------------
+
+def dense_descent(X, Y: np.ndarray, epochs: int, learning_rate: float, l2: float,
+                  negative_bias: float = -50.0):
+    """Reference trainer: full-batch descent over every weight row,
+    including the columns no document touches.
+
+    Returns (W, B) with W of shape (X.shape[1], Y.shape[1]).  Heads with
+    no positive example get zero weights and ``negative_bias``.
+    """
+    n, dimension = X.shape
+    trainable = Y.sum(axis=0) > 0
+    W = np.zeros((dimension, Y.shape[1]), dtype=np.float64)
+    B = np.zeros(Y.shape[1], dtype=np.float64)
+    B[~trainable] = negative_bias
+
+    active = np.flatnonzero(trainable)
+    if active.size:
+        Wa = np.zeros((dimension, active.size), dtype=np.float64)
+        Ba = np.zeros(active.size, dtype=np.float64)
+        Ya = Y[:, active]
+        XT = X.T.tocsr()
+        for _ in range(epochs):
+            P = expit(X @ Wa + Ba)
+            E = (P - Ya) / n
+            Wa -= learning_rate * (XT @ E + l2 * Wa)
+            Ba -= learning_rate * E.sum(axis=0)
+        W[:, active] = Wa
+        B[active] = Ba
+    return W, B
 
 
 # -- text --------------------------------------------------------------------

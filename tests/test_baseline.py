@@ -1,9 +1,13 @@
+import hashlib
+import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from persuasionkit import baseline
 from persuasionkit.baseline import (
     MODE_TEXT,
     MODE_TEXT_CAPTION,
@@ -24,7 +28,7 @@ from persuasionkit.corpus import MemeInstance
 from persuasionkit.hierarchy import parse_hierarchy
 from persuasionkit.metrics import hierarchical_score
 
-from oracles import fd_gradient
+from oracles import dense_descent, fd_gradient
 
 H = parse_hierarchy(
     "persuasion\nEthos\tpersuasion\nPathos\tpersuasion\nNameCalling\tEthos\n"
@@ -71,6 +75,20 @@ def test_missing_caption_degrades_to_text_only():
     text_only = featurize("some text", None, FeatureConfig(dimension=dim))
     assert degraded == text_only
     assert stats.missing_caption == 1
+
+
+def test_hash_memo_is_keyed_on_dimension(monkeypatch):
+    text = "Memo keys: one n-gram, two dimensions, then the first again."
+    dims = (2**8, 2**16, 2**8)
+    cached = [featurize(text, None, FeatureConfig(dimension=d)) for d in dims]
+    for feature in ("w1:memo", "c3:mem", "w2:two dimensions"):
+        v = int.from_bytes(
+            hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(), "little"
+        )
+        for d in dims:
+            assert baseline._hash_feature(feature, d) == (v % d, 1.0 if v >> 63 else -1.0)
+    monkeypatch.setattr(baseline, "_hash_feature", baseline._hash_feature.__wrapped__)
+    assert cached == [featurize(text, None, FeatureConfig(dimension=d)) for d in dims]
 
 
 def test_feature_config_validation():
@@ -167,6 +185,42 @@ def test_same_seed_same_bytes():
     assert save_model(a) == save_model(b)
 
 
+WORDS = ("buy", "fear", "trust", "duty", "calm", "a", "of", "naïve")
+
+
+@st.composite
+def _training_cases(draw):
+    mode = draw(st.sampled_from((MODE_TEXT, MODE_TEXT_CAPTION)))
+    blank = draw(st.booleans())  # every document empty: no column is used
+    text = st.just("") if blank else st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+    caption = st.none() if blank else st.none() | text
+    gold = st.frozensets(st.sampled_from(sorted(H.non_root_labels())), max_size=2)
+    corpus = [
+        doc(f"d{i}", draw(text), draw(gold), caption=draw(caption))
+        for i in range(draw(st.integers(1, 8)))
+    ]
+    fcfg = FeatureConfig(dimension=2 ** draw(st.integers(6, 12)), mode=mode)
+    tcfg = TrainConfig(
+        epochs=draw(st.integers(1, 40)),
+        learning_rate=draw(st.sampled_from((0.1, 0.5, 2.0))),
+        l2=draw(st.sampled_from((0.0, 1e-4, 0.1))),
+    )
+    return corpus, fcfg, tcfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(_training_cases())
+def test_training_matches_dense_reference_bit_for_bit(case):
+    corpus, fcfg, tcfg = case
+    model = train(corpus, H, fcfg, tcfg)
+    Y = np.array([[lab in H.extend(d.gold) for lab in model.labels] for d in corpus],
+                 dtype=np.float64)
+    W, B = dense_descent(baseline._design_matrix(corpus, fcfg), Y,
+                         tcfg.epochs, tcfg.learning_rate, tcfg.l2)
+    assert np.array_equal(model.weights, W)
+    assert np.array_equal(model.bias, B)
+
+
 # -- thresholds ----------------------------------------------------------------
 
 def _dev_hf1(model, corpus):
@@ -238,6 +292,8 @@ def test_load_rejects_foreign_files():
         load_model(b"{\"kind\":\"something-else\"}")
     with pytest.raises(ValueError, match="not a model file"):
         load_model(b"\xff\xfe not json")
+    with pytest.raises(ValueError, match="not a model file"):
+        load_model(b"[1, 2]")
     good = save_model(train(MEMORIZE, H, FeatureConfig(dimension=2**10)))
     import json
 
@@ -245,6 +301,60 @@ def test_load_rejects_foreign_files():
     payload["format_version"] = 99
     with pytest.raises(ValueError, match="version"):
         load_model(json.dumps(payload).encode())
+
+
+_DROP = object()
+
+
+def _corrupt(payload, key, value):
+    payload = json.loads(json.dumps(payload))
+    if value is _DROP:
+        del payload[key]
+    elif callable(value):
+        payload[key] = value(payload[key])
+    else:
+        payload[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("feature_config", _DROP, "missing feature_config"),
+    ("weights", _DROP, "missing weights"),
+    ("feature_config", lambda fc: {k: v for k, v in fc.items() if k != "mode"},
+     "missing feature_config.mode"),
+    ("feature_config", [], "feature_config is not an object"),
+    ("feature_config", lambda fc: {**fc, "dimension": 1000}, "power of two"),
+    ("labels", "Ethos", "labels must be a list of strings"),
+    ("weight_rows", lambda r: [2**10] + r[1:], r"not an integer in \[0, 1024\)"),
+    ("weight_rows", lambda r: [-1] + r[1:], "not an integer in"),
+    ("weight_rows", lambda r: [0.5] + r[1:], "not an integer in"),
+    ("weight_rows", lambda r: r[:1] + r[:-1], "repeats"),
+    ("weight_rows", lambda r: r[:-1], "equal length"),
+    ("weights", lambda w: [w[0][:-1]] + w[1:], "must hold 3 numbers"),
+    ("weights", lambda w: [["x"] * 3] + w[1:], "malformed"),
+    ("bias", lambda b: b[:-1], "bias must hold 3 numbers"),
+    ("thresholds", lambda t: t + [0.5], "thresholds must hold 3 numbers"),
+    ("seed", None, "malformed"),
+])
+def test_load_rejects_inconsistent_files(key, value, message):
+    good = json.loads(save_model(train(MEMORIZE, H, FeatureConfig(dimension=2**10))))
+    assert good["weight_rows"]
+    with pytest.raises(ValueError, match=message):
+        load_model(json.dumps(_corrupt(good, key, value)).encode())
+
+
+def test_predict_corpus_checks_fingerprint_once(monkeypatch):
+    model = train(MEMORIZE, H, FeatureConfig(dimension=2**10))
+    calls = []
+    original = type(H).fingerprint
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(type(H), "fingerprint", counting)
+    predict_corpus(model, H, MEMORIZE * 5)
+    assert len(calls) == 1
 
 
 def test_predict_refuses_wrong_hierarchy():

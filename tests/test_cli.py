@@ -269,6 +269,20 @@ def test_predict_wrong_hierarchy_is_validation_error(tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+def test_predict_incomplete_model_file_is_validation_error(tmp_path, capsys):
+    corpus = _write_mem_corpus(tmp_path)
+    model = write(tmp_path / "model.json",
+                  '{"kind":"persuasionkit-linear-hier","format_version":1}')
+    out = str(tmp_path / "p.json")
+    rc = main(["predict", "--model", model, "--hierarchy", WORKED_H,
+               "--corpus", corpus, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file is missing labels, feature_config")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 # -- caption -------------------------------------------------------------------
 
 CAPTION_CORPUS = [
