@@ -22,7 +22,8 @@ from scipy.special import expit
 
 from .corpus import MemeInstance
 from .hierarchy import LabelHierarchy
-from .metrics import hierarchical_score
+from .metrics import hierarchical_from_totals
+from .metrics import hierarchical_score  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .textmetrics import tokenize
 
 __all__ = [
@@ -229,14 +230,10 @@ def train(
         if inst.gold is None:
             raise ValueError(f"instance {inst.id!r} has no gold labels")
 
-    labels = tuple(sorted(h.non_root_labels()))
+    labels = h.labels
     X = _design_matrix(corpus, fcfg)
     n = len(corpus)
-    Y = np.zeros((n, len(labels)), dtype=np.float64)
-    col = {lab: j for j, lab in enumerate(labels)}
-    for i, inst in enumerate(corpus):
-        for lab in h.extend(inst.gold):
-            Y[i, col[lab]] = 1.0
+    Y = h.closed_rows(inst.gold for inst in corpus).astype(np.float64)
 
     positives = Y.sum(axis=0)
     trainable = positives > 0
@@ -356,16 +353,14 @@ def tune_thresholds(
             raise ValueError(f"dev instance {inst.id!r} has no gold labels")
 
     S = np.vstack([_scores_for(model, inst, None) for inst in dev_corpus])
-    gold = {inst.id: inst.gold for inst in dev_corpus}
-    ids = [inst.id for inst in dev_corpus]
+    G = h.closed_rows(inst.gold for inst in dev_corpus)
+    # Row j: the closed set a positive head j contributes, over h.labels.
+    C = h.closed_rows([label] for label in model.labels)
+    gold_total = int(G.sum())
 
     def hf1(thresholds: np.ndarray) -> float:
-        pred = {}
-        over = S > thresholds  # (n, L) bool
-        for i, iid in enumerate(ids):
-            chosen = [model.labels[j] for j in np.flatnonzero(over[i])]
-            pred[iid] = h.extend(chosen)
-        return hierarchical_score(h, gold, pred).hf_beta
+        P = (S > thresholds) @ C
+        return hierarchical_from_totals((int((G & P).sum()), int(P.sum()), gold_total))[2]
 
     t = model.thresholds.copy()
     best = hf1(t)

@@ -283,19 +283,32 @@ class TokenBucket:
 
 
 def _is_refusal(resp: dict, patterns: Iterable[str]) -> tuple[bool, str]:
-    """Classify a provider response; returns (refused, caption_text)."""
+    """Classify a provider response; returns (refused, caption_text).
+
+    Raises TransportError for a response without the chat-completions
+    shape: a first choice that is an object, whose ``message`` (if any) is
+    an object, whose content is text or a list of text parts.
+    """
     try:
         choice = resp["choices"][0]
     except (KeyError, IndexError, TypeError):
         raise TransportError("malformed provider response: no choices")
+    if not isinstance(choice, dict):
+        raise TransportError("malformed provider response: choice is not an object")
     finish = choice.get("finish_reason")
     message = choice.get("message") or {}
+    if not isinstance(message, dict):
+        raise TransportError("malformed provider response: message is not an object")
     content = message.get("content")
     if isinstance(content, list):  # providers may return structured parts
-        content = "".join(
-            part.get("text", "") for part in content if isinstance(part, dict)
-        )
-    text = (content or "").strip()
+        content = [part.get("text", "") for part in content if isinstance(part, dict)]
+        if not all(isinstance(part, str) for part in content):
+            raise TransportError("malformed provider response: content part is not text")
+        content = "".join(content)
+    content = content or ""
+    if not isinstance(content, str):
+        raise TransportError("malformed provider response: content is not text")
+    text = content.strip()
     if finish == "content_filter":
         return True, text
     if not text:
@@ -389,7 +402,11 @@ def _outcome_record(outcome: CaptionOutcome) -> dict:
 
 
 def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
-    """Read a JSONL checkpoint; later records for an id win."""
+    """Read a JSONL checkpoint; later records for an id win.
+
+    Raises ValueError naming the line for a line that is not JSON, not an
+    object, or lacks a string ``id`` or ``status``.
+    """
     out: dict[str, CaptionOutcome] = {}
     if not os.path.exists(path):
         return out
@@ -402,11 +419,20 @@ def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"checkpoint line {lineno}: invalid JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"checkpoint line {lineno}: record is not a JSON object")
+            for key in ("id", "status"):
+                if not isinstance(rec.get(key), str):
+                    raise ValueError(f"checkpoint line {lineno}: record lacks a string {key!r}")
+            try:
+                attempts = int(rec.get("attempts", 0))
+            except (TypeError, ValueError):
+                raise ValueError(f"checkpoint line {lineno}: attempts is not a number") from None
             out[rec["id"]] = CaptionOutcome(
                 id=rec["id"],
                 status=rec["status"],
                 caption=rec.get("caption"),
-                attempts=int(rec.get("attempts", 0)),
+                attempts=attempts,
                 model=rec.get("model", ""),
             )
     return out

@@ -51,9 +51,13 @@ from .corpus import (
 )
 from .hierarchy import HierarchyError, parse_hierarchy
 from .metrics import (
+    binary_from_totals,
+    binary_tallies,
     bootstrap_ci,
     flat_binary_score,
+    hierarchical_from_totals,
     hierarchical_score,
+    hierarchical_tallies,
     per_class_hierarchical_diagnostics,
 )
 from .textmetrics import score_caption_pairs
@@ -240,9 +244,8 @@ def _score_hier(args: argparse.Namespace) -> dict:
     if resamples:
         seed = _resolve(args, "seed", 0, int)
         ci = bootstrap_ci(
-            lambda g, p: hierarchical_score(h, g, p, beta=beta).hf_beta,
-            gold,
-            pred,
+            lambda totals: hierarchical_from_totals(totals, beta)[2],
+            hierarchical_tallies(h, gold, pred),
             resamples=resamples,
             seed=seed,
             confidence=args.confidence,
@@ -291,13 +294,14 @@ def _score_binary(args: argparse.Namespace) -> dict:
     resamples = args.bootstrap or 0
     if resamples:
         seed = _resolve(args, "seed", 0, int)
+        tallies = binary_tallies(gold, pred)
         report["bootstrap"] = {}
         for key, fn in (
-            ("macro_f1", lambda g, p: flat_binary_score(g, p).macro_f1),
-            ("micro_f1", lambda g, p: flat_binary_score(g, p).micro_f1),
+            ("macro_f1", lambda totals: binary_from_totals(totals).macro_f1),
+            ("micro_f1", lambda totals: binary_from_totals(totals).micro_f1),
         ):
             ci = bootstrap_ci(
-                fn, gold, pred, resamples=resamples, seed=seed,
+                fn, tallies, resamples=resamples, seed=seed,
                 confidence=args.confidence,
             )
             report["bootstrap"][key] = {

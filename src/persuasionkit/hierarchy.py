@@ -5,6 +5,10 @@ root by following child -> parent edges upward.  Multiple parents are
 allowed (some techniques sit under more than one rhetorical appeal).  The
 root is a bookkeeping device: it is never a member of a label set and it
 never earns credit during scoring.
+
+Non-root labels have a fixed order, ``LabelHierarchy.labels`` (sorted by
+name).  Over that order the hierarchy keeps an ``L x L`` closure matrix,
+so closing many label sets is one boolean matrix product.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "HierarchyError",
@@ -33,6 +39,10 @@ class UnknownLabelError(HierarchyError):
 class LabelHierarchy:
     """Immutable label DAG with precomputed strict-ancestor sets.
 
+    ``labels`` is the sorted tuple of non-root labels.  ``closure[j, k]`` is
+    True iff ``labels[k]`` is ``labels[j]`` or one of its ancestors, so row
+    ``j`` is the closed set of ``labels[j]``.
+
     Build instances through :func:`parse_hierarchy` or
     :meth:`LabelHierarchy.from_edges`; both validate the structure.
     """
@@ -42,6 +52,9 @@ class LabelHierarchy:
     edges: frozenset[tuple[str, str]]  # (child, parent)
     _parents: dict[str, frozenset[str]] = field(compare=False, repr=False)
     _ancestors: dict[str, frozenset[str]] = field(compare=False, repr=False)
+    labels: tuple[str, ...] = field(compare=False, repr=False)
+    closure: np.ndarray = field(compare=False, repr=False)  # (L, L) bool, read-only
+    _index: dict[str, int] = field(compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, root: str, edges: Iterable[tuple[str, str]]) -> "LabelHierarchy":
@@ -100,12 +113,22 @@ class LabelHierarchy:
             stuck = sorted(n for n in nodes if n not in ancestors)
             raise HierarchyError(f"cycle detected involving {stuck[0]!r}")
 
+        labels = tuple(sorted(nodes - {root}))
+        index = {label: j for j, label in enumerate(labels)}
+        closure = np.eye(len(labels), dtype=bool)
+        for j, label in enumerate(labels):
+            closure[j, [index[a] for a in ancestors[label]]] = True
+        closure.setflags(write=False)
+
         return cls(
             root=root,
             nodes=frozenset(nodes),
             edges=frozenset(edge_list),
             _parents={n: frozenset(parents[n]) for n in nodes},
             _ancestors=ancestors,
+            labels=labels,
+            closure=closure,
+            _index=index,
         )
 
     # -- queries ---------------------------------------------------------
@@ -136,6 +159,31 @@ class LabelHierarchy:
             out.add(label)
             out |= self.ancestors(label)
         return frozenset(out)
+
+    def closed_rows(self, label_sets: Iterable[Iterable[str]]) -> np.ndarray:
+        """Close each label set upward, as one boolean row over ``labels``.
+
+        Row ``i`` is True exactly at the labels of ``extend(label_sets[i])``.
+        Sets are read one at a time, in order, and the first bad label
+        raises what :meth:`extend` raises: HierarchyError for the root,
+        UnknownLabelError for a label outside the hierarchy.
+        """
+        rows: list[int] = []
+        cols: list[int] = []
+        n = 0
+        for labels in label_sets:
+            for label in labels:
+                j = self._index.get(label)
+                if j is None:
+                    if label == self.root:
+                        raise HierarchyError("the virtual root cannot appear in a label set")
+                    raise UnknownLabelError(f"unknown label {label!r}")
+                rows.append(n)
+                cols.append(j)
+            n += 1
+        hits = np.zeros((n, len(self.labels)), dtype=bool)
+        hits[rows, cols] = True
+        return hits @ self.closure
 
     def is_consistent(self, labels: Iterable[str]) -> bool:
         """True iff the set already contains every ancestor of its members."""

@@ -5,6 +5,10 @@ Hierarchical scores are ratios of corpus-wide sums over extended label
 sets (gold and predicted sets are both closed upward before any set
 arithmetic), not averages of per-instance scores.  The virtual root never
 enters a label set, so it earns no credit.
+
+Every score is a function of integer totals: per-instance tally rows
+(``hierarchical_tallies``, ``binary_tallies``) summed over the corpus.
+The bootstrap resamples those rows, so a resample costs one weighted sum.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import LabelHierarchy
+from .hierarchy import HierarchyError, LabelHierarchy
 
 __all__ = [
     "HierarchicalScore",
@@ -24,8 +28,12 @@ __all__ = [
     "FlatScore",
     "BootstrapInterval",
     "fbeta",
+    "hierarchical_tallies",
+    "hierarchical_from_totals",
     "hierarchical_score",
     "per_class_hierarchical_diagnostics",
+    "binary_tallies",
+    "binary_from_totals",
     "flat_binary_score",
     "bootstrap_ci",
     "POSITIVE_CLASS",
@@ -96,13 +104,74 @@ def fbeta(precision: float, recall: float, beta: float = 1.0) -> float:
     return (beta * beta + 1.0) * precision * recall / denom
 
 
-def _as_label_sets(
-    h: LabelHierarchy, labels: Iterable[str], where: str
-) -> frozenset[str]:
+def _closed_rows(
+    h: LabelHierarchy,
+    gold: Mapping[str, Iterable[str]],
+    pred: Mapping[str, Iterable[str]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed gold and pred rows, one per gold id in ``gold``'s order.
+
+    Ids missing from ``pred`` close to empty rows.  Sets are closed in the
+    order gold[id], pred[id], id by id, and an error is prefixed with the
+    name of the first offending set.
+    """
+    where = ""
+
+    def sets():
+        nonlocal where
+        for iid in gold:
+            where = f"gold[{iid}]"
+            yield gold[iid]
+            where = f"pred[{iid}]"
+            yield pred.get(iid, ())
+
     try:
-        return h.extend(labels)
-    except Exception as exc:
+        rows = h.closed_rows(sets())
+    except (HierarchyError, TypeError) as exc:
         raise type(exc)(f"{where}: {exc}") from None
+    return rows[0::2], rows[1::2]
+
+
+def hierarchical_tallies(
+    h: LabelHierarchy,
+    gold: Mapping[str, Iterable[str]],
+    pred: Mapping[str, Iterable[str]],
+) -> np.ndarray:
+    """Per-instance ``[overlap, predicted, gold]`` sizes of the closed sets.
+
+    Returns an ``(n, 3)`` int64 array, one row per gold id in sorted id
+    order.  Ids missing from ``pred`` count as empty predictions; the
+    validation and errors are those of :func:`hierarchical_score`.
+    """
+    if not gold:
+        raise ValueError("empty corpus: no gold instances")
+    extra = sorted(set(pred) - set(gold))
+    if extra:
+        raise ValueError(f"prediction ids not present in gold: {extra[:5]}")
+    G, P = _closed_rows(h, gold, pred)
+    tallies = np.stack([(G & P).sum(axis=1), P.sum(axis=1), G.sum(axis=1)], axis=1)
+    ids = list(gold)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return tallies[order].astype(np.int64)
+
+
+def hierarchical_from_totals(totals, beta: float = 1.0) -> tuple[float, float, float]:
+    """(HP, HR, HF-beta) from corpus ``[overlap, predicted, gold]`` totals.
+
+    Zero-denominator policy: an empty total on one side with a nonempty
+    total on the other scores that component 0; when both totals are
+    empty the task is vacuous and HP = HR = HF := 1.
+    """
+    overlap, pred_total, gold_total = (int(v) for v in totals)
+    if pred_total == 0:
+        hp = 1.0 if gold_total == 0 else 0.0
+    else:
+        hp = overlap / pred_total
+    if gold_total == 0:
+        hr = 1.0 if pred_total == 0 else 0.0
+    else:
+        hr = overlap / gold_total
+    return hp, hr, fbeta(hp, hr, beta)
 
 
 def hierarchical_score(
@@ -116,46 +185,22 @@ def hierarchical_score(
     ``gold`` and ``pred`` map instance id -> label set.  Prediction ids
     must be a subset of gold ids; ids missing from ``pred`` are scored as
     empty predictions and reported in ``missing_pred_ids``.  Both sides
-    are extended (ancestor-closed) before the sums are taken.
-
-    Zero-denominator policy: an empty total on one side with a nonempty
-    total on the other scores that component 0; when both corpus-wide
-    extended totals are empty the task is vacuous and HP = HR = HF := 1.
+    are extended (ancestor-closed) before the sums are taken; the
+    zero-denominator policy is that of :func:`hierarchical_from_totals`.
     """
-    if not gold:
-        raise ValueError("empty corpus: no gold instances")
-    extra = sorted(set(pred) - set(gold))
-    if extra:
-        raise ValueError(f"prediction ids not present in gold: {extra[:5]}")
-    missing = tuple(sorted(set(gold) - set(pred)))
-
-    overlap = pred_total = gold_total = 0
-    empty: tuple[str, ...] = ()
-    for iid in gold:
-        g = _as_label_sets(h, gold[iid], f"gold[{iid}]")
-        p = _as_label_sets(h, pred.get(iid, empty), f"pred[{iid}]")
-        overlap += len(g & p)
-        pred_total += len(p)
-        gold_total += len(g)
-
-    if pred_total == 0:
-        hp = 1.0 if gold_total == 0 else 0.0
-    else:
-        hp = overlap / pred_total
-    if gold_total == 0:
-        hr = 1.0 if pred_total == 0 else 0.0
-    else:
-        hr = overlap / gold_total
+    totals = tuple(int(v) for v in hierarchical_tallies(h, gold, pred).sum(axis=0))
+    overlap, pred_total, gold_total = totals
+    hp, hr, hf = hierarchical_from_totals(totals, beta)
     return HierarchicalScore(
         hp=hp,
         hr=hr,
-        hf_beta=fbeta(hp, hr, beta),
+        hf_beta=hf,
         beta=beta,
         overlap_total=overlap,
         pred_total=pred_total,
         gold_total=gold_total,
         n_instances=len(gold),
-        missing_pred_ids=missing,
+        missing_pred_ids=tuple(sorted(set(gold) - set(pred))),
     )
 
 
@@ -169,18 +214,14 @@ def per_class_hierarchical_diagnostics(
     Labels untouched by both sides get an explicit (0, 0, 0) row.  The tp
     column sums to the overlap total of :func:`hierarchical_score`.
     """
-    tallies = {label: [0, 0, 0] for label in sorted(h.non_root_labels())}
-    empty: tuple[str, ...] = ()
-    for iid in gold:
-        g = h.extend(gold[iid])
-        p = h.extend(pred.get(iid, empty))
-        for label in g & p:
-            tallies[label][0] += 1
-        for label in p - g:
-            tallies[label][1] += 1
-        for label in g - p:
-            tallies[label][2] += 1
-    return {lab: ClassTally(*t) for lab, t in tallies.items()}
+    G, P = _closed_rows(h, gold, pred)
+    tp = (G & P).sum(axis=0)
+    fp = (P & ~G).sum(axis=0)
+    fn = (G & ~P).sum(axis=0)
+    return {
+        label: ClassTally(int(tp[j]), int(fp[j]), int(fn[j]))
+        for j, label in enumerate(h.labels)
+    }
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -190,85 +231,80 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f
 
 
-def flat_binary_score(
-    gold: Mapping[str, bool], pred: Mapping[str, bool]
-) -> FlatScore:
-    """Binary micro/macro F1 for the propagandistic-or-not task.
+def binary_tallies(gold: Mapping[str, bool], pred: Mapping[str, bool]) -> np.ndarray:
+    """One-hot ``[tp, fp, fn, tn]`` rows, one per id in sorted id order.
 
-    micro_f1 pools the positive class across instances; macro_f1 is the
-    unweighted mean of the positive-class and negative-class F1.
+    Gold and pred must cover the same nonempty id set.
     """
     if not gold:
         raise ValueError("empty corpus: no gold instances")
     if set(gold) != set(pred):
         diff = sorted(set(gold) ^ set(pred))
         raise ValueError(f"gold/pred instance ids differ: {diff[:5]}")
+    ids = sorted(gold)
+    g = np.array([bool(gold[i]) for i in ids], dtype=bool)
+    p = np.array([bool(pred[i]) for i in ids], dtype=bool)
+    cell = np.where(g, np.where(p, 0, 2), np.where(p, 1, 3))
+    return np.eye(4, dtype=np.int64)[cell]
 
-    tp = fp = fn = tn = 0
-    for iid, g in gold.items():
-        p = pred[iid]
-        if g and p:
-            tp += 1
-        elif not g and p:
-            fp += 1
-        elif g and not p:
-            fn += 1
-        else:
-            tn += 1
 
+def binary_from_totals(totals) -> FlatScore:
+    """Binary micro/macro F1 from corpus ``[tp, fp, fn, tn]`` totals.
+
+    micro_f1 pools the positive class across instances; macro_f1 is the
+    unweighted mean of the positive-class and negative-class F1.
+    """
+    tp, fp, fn, tn = (int(v) for v in totals)
     pos = ClassScore(*_prf(tp, fp, fn), support=tp + fn)
     neg = ClassScore(*_prf(tn, fn, fp), support=tn + fp)
-    micro = pos.f1
-    macro = (pos.f1 + neg.f1) / 2.0
     return FlatScore(
-        micro_f1=micro,
-        macro_f1=macro,
+        micro_f1=pos.f1,
+        macro_f1=(pos.f1 + neg.f1) / 2.0,
         per_class={POSITIVE_CLASS: pos, NEGATIVE_CLASS: neg},
-        n_instances=len(gold),
+        n_instances=tp + fp + fn + tn,
     )
 
 
+def flat_binary_score(
+    gold: Mapping[str, bool], pred: Mapping[str, bool]
+) -> FlatScore:
+    """Binary micro/macro F1 for the propagandistic-or-not task; see
+    :func:`binary_from_totals`."""
+    return binary_from_totals(binary_tallies(gold, pred).sum(axis=0))
+
+
 def bootstrap_ci(
-    score_fn: Callable[[Mapping[str, object], Mapping[str, object]], float],
-    gold: Mapping[str, object],
-    pred: Mapping[str, object],
+    statistic: Callable[[np.ndarray], float],
+    tallies: np.ndarray,
     resamples: int = 1000,
     seed: int = 0,
     confidence: float = 0.95,
 ) -> BootstrapInterval:
     """Percentile bootstrap over instance resampling.
 
-    ``score_fn`` must accept (gold_map, pred_map) and return a float; the
-    point estimate is score_fn on the full sample.  Resample ``i`` draws
-    its indices from ``numpy.random.default_rng([seed, i])``, so runs are
-    reproducible and resamples are order-independent.  The interval is
-    widened, if needed, to contain the point estimate.
+    ``tallies`` holds one integer row per instance (as returned by
+    :func:`hierarchical_tallies` or :func:`binary_tallies`), and
+    ``statistic`` maps a column-sum row to a float; the point estimate is
+    the statistic of the full sample's sums.  Resample ``i`` draws its
+    indices from ``numpy.random.default_rng([seed, i])`` and scores the
+    sums of the drawn rows, so runs are reproducible and resamples are
+    order-independent.  The interval is widened, if needed, to contain
+    the point estimate.
     """
-    if len(gold) < 2:
+    tallies = np.asarray(tallies)
+    n = len(tallies)
+    if n < 2:
         raise ValueError("bootstrap needs at least 2 instances")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
 
-    extra = sorted(set(pred) - set(gold))
-    if extra:
-        raise ValueError(f"prediction ids not present in gold: {extra[:5]}")
-    ids = sorted(gold)
-    gold_list = [gold[i] for i in ids]
-    # ids absent from pred ride along as empty label sets, mirroring the
-    # missing-prediction policy of hierarchical_score.
-    pred_list = [pred[i] if i in pred else frozenset() for i in ids]
-    n = len(ids)
-
-    point = float(score_fn(gold, pred))
+    point = float(statistic(tallies.sum(axis=0)))
     stats = np.empty(resamples, dtype=np.float64)
     for i in range(resamples):
-        rng = np.random.default_rng([seed, i])
-        idx = rng.integers(0, n, size=n)
-        g = {str(j): gold_list[k] for j, k in enumerate(idx)}
-        p = {str(j): pred_list[k] for j, k in enumerate(idx)}
-        stats[i] = score_fn(g, p)
+        idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
+        stats[i] = statistic(np.bincount(idx, minlength=n) @ tallies)
 
     alpha = (1.0 - confidence) / 2.0
     lower, upper = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])

@@ -1,6 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# Shared CI runners are slow and noisy: no per-example deadline, and a
+# fixed example sequence so a failure reproduces.  HYPOTHESIS_PROFILE=ci
+# selects it.
+settings.register_profile("ci", deadline=None, derandomize=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 HERE = os.path.dirname(__file__)
 REPO = os.path.dirname(HERE)

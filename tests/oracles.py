@@ -183,6 +183,62 @@ def dense_descent(X, Y: np.ndarray, epochs: int, learning_rate: float, l2: float
     return W, B
 
 
+# -- threshold tuning ----------------------------------------------------------
+
+def reference_tune_thresholds(model, dev_corpus, h, max_passes: int = 2):
+    """Reference coordinate-ascent tuner: each candidate threshold vector
+    re-closes every dev prediction with ``extend`` and rescores the dev
+    corpus with ``hierarchical_score`` over id-keyed maps.
+
+    It shares the package's per-document scores and its scorer (itself
+    checked against ``brute_hier_score``), not its tuning arithmetic.
+    """
+    from dataclasses import replace
+
+    from persuasionkit.baseline import THRESHOLD_GRID, _check_hierarchy, _scores_for
+    from persuasionkit.metrics import hierarchical_score
+
+    _check_hierarchy(model, h)
+    if not dev_corpus:
+        raise ValueError("dev corpus is empty")
+    for inst in dev_corpus:
+        if inst.gold is None:
+            raise ValueError(f"dev instance {inst.id!r} has no gold labels")
+
+    S = np.vstack([_scores_for(model, inst, None) for inst in dev_corpus])
+    gold = {inst.id: inst.gold for inst in dev_corpus}
+    ids = [inst.id for inst in dev_corpus]
+
+    def hf1(thresholds: np.ndarray) -> float:
+        pred = {}
+        over = S > thresholds  # (n, L) bool
+        for i, iid in enumerate(ids):
+            chosen = [model.labels[j] for j in np.flatnonzero(over[i])]
+            pred[iid] = h.extend(chosen)
+        return hierarchical_score(h, gold, pred).hf_beta
+
+    t = model.thresholds.copy()
+    best = hf1(t)
+    for _ in range(max_passes):
+        improved = False
+        for j in range(len(model.labels)):
+            original = t[j]
+            best_here = original
+            for cand in THRESHOLD_GRID:
+                if cand == original:
+                    continue
+                t[j] = cand
+                score = hf1(t)
+                if score > best:
+                    best = score
+                    best_here = cand
+                    improved = True
+            t[j] = best_here
+        if not improved:
+            break
+    return replace(model, thresholds=t)
+
+
 # -- text --------------------------------------------------------------------
 
 def brute_lcs(a, b) -> int:

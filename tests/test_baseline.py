@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from persuasionkit.baseline import (
     THRESHOLD_GRID,
     FeatureConfig,
     FeatureStats,
+    HierModel,
     TrainConfig,
     featurize,
     load_model,
@@ -28,11 +30,16 @@ from persuasionkit.corpus import MemeInstance
 from persuasionkit.hierarchy import parse_hierarchy
 from persuasionkit.metrics import hierarchical_score
 
-from oracles import dense_descent, fd_gradient
+from oracles import dense_descent, fd_gradient, reference_tune_thresholds
 
 H = parse_hierarchy(
     "persuasion\nEthos\tpersuasion\nPathos\tpersuasion\nNameCalling\tEthos\n"
 )
+_SUBTASK2A = os.path.join(
+    os.path.dirname(__file__), "..", "data", "hierarchies", "subtask2a_techniques.txt"
+)
+with open(_SUBTASK2A, encoding="utf-8") as _fh:
+    SUBTASK2A = parse_hierarchy(_fh.read())
 
 
 def doc(iid, text, gold=(), caption=None):
@@ -258,6 +265,37 @@ def test_tuning_never_hurts_and_is_idempotent():
     assert after >= before
     again = tune_thresholds(tuned, dev_docs, H)
     assert np.array_equal(again.thresholds, tuned.thresholds)
+
+
+@st.composite
+def _tuning_cases(draw):
+    h = draw(st.sampled_from((H, SUBTASK2A)))
+    n_labels = len(h.labels)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**6
+    model = HierModel(
+        labels=h.labels,
+        feature_config=FeatureConfig(dimension=dim),
+        hierarchy_fingerprint=h.fingerprint(),
+        seed=0,
+        weights=rng.normal(0.0, draw(st.sampled_from((0.5, 2.0, 8.0))), (dim, n_labels)),
+        bias=rng.normal(0.0, 1.0, n_labels),
+        thresholds=np.array(draw(st.lists(st.sampled_from(THRESHOLD_GRID),
+                                          min_size=n_labels, max_size=n_labels))),
+    )
+    text = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+    gold = st.frozensets(st.sampled_from(h.labels), max_size=3)
+    dev = [doc(f"v{i}", draw(text), draw(gold)) for i in range(draw(st.integers(1, 8)))]
+    return h, model, dev, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tuning_cases())
+def test_tuning_matches_reference_tuner(case):
+    h, model, dev, passes = case
+    got = tune_thresholds(model, dev, h, max_passes=passes)
+    want = reference_tune_thresholds(model, dev, h, max_passes=passes)
+    assert np.array_equal(got.thresholds, want.thresholds)
 
 
 def test_tuning_validates_inputs():

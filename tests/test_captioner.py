@@ -1,9 +1,12 @@
 import base64
+import copy
 import json
 import logging
 import os
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from persuasionkit.captioner import (
     FALLBACK_PROMPT,
@@ -152,6 +155,70 @@ def test_transport_gives_up_and_never_retries_refusals():
     assert len(t2.requests) == 2
 
 
+@pytest.mark.parametrize("resp", [
+    {"choices": [None]},
+    {"choices": ["hi"]},
+    {"choices": [{"message": "hi"}]},
+    {"choices": [{"message": ["hi"]}]},
+    {"choices": [{"message": {"content": 5}}]},
+    {"choices": [{"message": {"content": {"text": "hi"}}}]},
+    {"choices": [{"message": {"content": [{"type": "text", "text": 5}]}}]},
+])
+def test_malformed_response_shapes_end_as_transport_error(resp):
+    t = ScriptedTransport([resp])
+    out = caption_instance(inst(), CFG, t, clock=_Clock(lambda: 0.0, lambda s: None))
+    assert out.status == STATUS_TRANSPORT_ERROR
+    assert out.caption is None
+    assert len(t.requests) == 1  # malformed replies are not retried
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+_PARTS_RESPONSE = {"choices": [{"finish_reason": "stop", "message": {
+    "role": "assistant", "content": [{"type": "text", "text": "a "}, {"type": "text", "text": "caption"}],
+}}]}
+
+
+def _mutate(draw, value):
+    """Replace or delete one node of ``value`` (possibly the whole value)."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        action = draw(st.sampled_from(("descend", "replace", "delete")))
+        if action == "descend":
+            value[key] = _mutate(draw, value[key])
+        elif action == "replace":
+            value[key] = draw(_JSON)
+        else:
+            del value[key]
+        return value
+    return draw(_JSON)
+
+
+@st.composite
+def _provider_replies(draw):
+    base = draw(st.sampled_from((
+        ok_response("a caption"), refusal_response("filter"), refusal_response("empty"),
+        refusal_response("pattern"), _PARTS_RESPONSE,
+    )))
+    return _mutate(draw, copy.deepcopy(base))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_provider_replies(), min_size=2, max_size=2))
+def test_mutated_provider_json_never_escapes(replies):
+    clock = FakeClock()
+    out = caption_instance(inst(), CFG, ScriptedTransport(replies),
+                           clock=_Clock(clock.monotonic, clock.sleep), rng=random.Random(0))
+    assert isinstance(out, CaptionOutcome)
+    assert out.status in (STATUS_OK_PROMPT1, STATUS_OK_PROMPT2, STATUS_REFUSED_BOTH,
+                          STATUS_TRANSPORT_ERROR)
+    assert (out.caption is not None) == (out.status in (STATUS_OK_PROMPT1, STATUS_OK_PROMPT2))
+
+
 def test_instance_without_image_rejected():
     with pytest.raises(ValueError, match="no image"):
         caption_instance(inst(image=None), CFG, ScriptedTransport())
@@ -216,6 +283,26 @@ def test_checkpoint_resume_only_incomplete(tmp_path):
     caps = checkpoint_to_captions(load_checkpoint(ck))
     assert set(caps) == {"a", "d", "c"}
     assert caps["a"][1] == "external-zero-shot"
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("[1, 2]", "not a JSON object"),
+    ('"a string"', "not a JSON object"),
+    ("null", "not a JSON object"),
+    ('{"status": "ok_prompt1"}', "'id'"),
+    ('{"id": "a"}', "'status'"),
+    ('{"id": 7, "status": "ok_prompt1"}', "'id'"),
+    ('{"id": "a", "status": ["ok_prompt1"]}', "'status'"),
+    ('{"id": "a", "status": "ok_prompt1", "attempts": "many"}', "attempts"),
+    ('{"id": "a", "status": "ok_prompt1", "attempts": [1]}', "attempts"),
+])
+def test_load_checkpoint_rejects_bad_records(tmp_path, line, problem):
+    ck = tmp_path / "ck.jsonl"
+    good = json.dumps({"id": "z", "status": STATUS_OK_PROMPT1, "caption": "c"})
+    ck.write_text(good + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^checkpoint line 3: ") as exc:
+        load_checkpoint(str(ck))
+    assert problem in str(exc.value)
 
 
 def test_rate_limit_schedule():

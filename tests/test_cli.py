@@ -323,6 +323,25 @@ def test_caption_transport_failure_exit_code(tmp_path, capsys):
     assert "failed on transport" in capsys.readouterr().err
 
 
+def test_caption_malformed_choice_exit_code(tmp_path, capsys):
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    transport = ScriptedTransport([{"choices": [None]}, {"choices": [{"message": "hi"}]}])
+    rc = main(["caption", "--corpus", corpus, "--out", str(tmp_path / "ck.jsonl")],
+              transport=transport)
+    assert rc == 3
+    assert "2 instance(s) failed on transport" in capsys.readouterr().err
+
+
+def test_caption_bad_checkpoint_record_is_validation_error(tmp_path, capsys):
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    ck = write(tmp_path / "ck.jsonl", json.dumps({"status": "ok_prompt1", "caption": "x"}) + "\n")
+    rc = main(["caption", "--corpus", corpus, "--out", ck], transport=ScriptedTransport())
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: checkpoint line 1: record lacks a string 'id'" in err
+    assert "Traceback" not in err
+
+
 def test_caption_requires_endpoint(tmp_path, capsys):
     corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
     rc = main(["caption", "--corpus", corpus, "--out", str(tmp_path / "ck.jsonl")])

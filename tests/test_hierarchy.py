@@ -1,6 +1,7 @@
 import os
 import random
 
+import numpy as np
 import pytest
 
 from persuasionkit.hierarchy import (
@@ -136,6 +137,40 @@ def test_extend_properties_against_oracle():
         sub = {x for x in labels if rng.random() < 0.5}
         assert h.extend(sub) <= ext               # monotone
         assert h.is_consistent(ext)
+
+
+@pytest.mark.parametrize("name", ["subtask1_techniques.txt", "subtask2a_techniques.txt"])
+def test_closure_matrix_rows_match_oracle(data_dir, name):
+    with open(os.path.join(data_dir, "hierarchies", name), encoding="utf-8") as fh:
+        h = parse_hierarchy(fh.read())
+    edges = sorted(h.edges)
+    assert h.labels == tuple(sorted(h.non_root_labels()))
+    assert h.closure.shape == (len(h.labels), len(h.labels))
+    for j, label in enumerate(h.labels):
+        row = {h.labels[k] for k in np.flatnonzero(h.closure[j])}
+        assert row == brute_extend(h.root, edges, [label])
+
+
+def test_closed_rows_match_extend_on_random_dags():
+    rng = random.Random(31)
+    for _ in range(200):
+        root, names, edges = random_hierarchy(rng, max_nodes=20)
+        h = LabelHierarchy.from_edges(root, edges)
+        sets = [{x for x in names if rng.random() < 0.2} for _ in range(rng.randint(0, 6))]
+        rows = h.closed_rows(sets)
+        assert rows.dtype == bool and rows.shape == (len(sets), len(names))
+        for labels, row in zip(sets, rows):
+            assert {h.labels[k] for k in np.flatnonzero(row)} == brute_extend(root, edges, labels)
+
+
+def test_closed_rows_rejects_root_and_unknown():
+    h = parse_hierarchy(WORKED)
+    with pytest.raises(HierarchyError, match="virtual root") as exc:
+        h.closed_rows([{"Pathos"}, {"persuasion"}])
+    assert not isinstance(exc.value, UnknownLabelError)
+    with pytest.raises(UnknownLabelError, match="NoSuchLabel"):
+        h.closed_rows([set(), ["Ethos", "NoSuchLabel"]])
+    assert h.closed_rows([]).shape == (0, 3)
 
 
 def test_parse_accepts_exactly_the_valid_graphs():

@@ -1,15 +1,21 @@
 import math
+import os
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from persuasionkit.hierarchy import LabelHierarchy, parse_hierarchy
+from persuasionkit.hierarchy import LabelHierarchy, UnknownLabelError, parse_hierarchy
 from persuasionkit.metrics import (
+    binary_from_totals,
+    binary_tallies,
     bootstrap_ci,
     fbeta,
     flat_binary_score,
+    hierarchical_from_totals,
     hierarchical_score,
+    hierarchical_tallies,
     per_class_hierarchical_diagnostics,
 )
 
@@ -22,6 +28,13 @@ from oracles import (
 )
 
 WORKED = "persuasion\nEthos\tpersuasion\nNameCalling\tEthos\nPathos\tpersuasion"
+MULTI_PARENT = (
+    "persuasion\nEthos\tpersuasion\nLogos\tpersuasion\n"
+    "Shared\tEthos\nShared\tLogos\nLeaf\tShared"
+)
+SUBTASK2A = os.path.join(
+    os.path.dirname(__file__), "..", "data", "hierarchies", "subtask2a_techniques.txt"
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +119,36 @@ def test_oracle_equivalence_randomized():
         assert s.hp == pytest.approx(hp, abs=1e-12)
         assert s.hr == pytest.approx(hr, abs=1e-12)
         assert s.hf_beta == pytest.approx(hf, abs=1e-12)
+
+
+def test_label_set_errors_name_the_first_offending_set(worked):
+    gold = {"b": {"Pathos"}, "a": {"Nope"}}
+    with pytest.raises(UnknownLabelError, match=r"^gold\[a\]: unknown label 'Nope'$"):
+        hierarchical_score(worked, gold, {})
+    # per instance, gold is closed before pred; instances go in gold's order
+    with pytest.raises(UnknownLabelError, match=r"^pred\[b\]: "):
+        hierarchical_score(worked, gold, {"b": {"Bad"}})
+    with pytest.raises(ValueError, match=r"^pred\[b\]: the virtual root"):
+        hierarchical_tallies(worked, {"b": set()}, {"b": {"persuasion"}})
+
+
+def test_hierarchical_tallies_rows(worked):
+    gold = {"b": {"NameCalling"}, "a": {"Pathos"}, "c": set()}
+    pred = {"b": {"Ethos"}, "c": {"Pathos"}}
+    t = hierarchical_tallies(worked, gold, pred)
+    assert t.dtype == np.int64
+    # rows in sorted id order: a (pred missing), b, c
+    assert t.tolist() == [[0, 0, 1], [1, 1, 2], [0, 1, 0]]
+    s = hierarchical_score(worked, gold, pred)
+    assert t.sum(axis=0).tolist() == [s.overlap_total, s.pred_total, s.gold_total]
+    assert hierarchical_from_totals(t.sum(axis=0)) == (s.hp, s.hr, s.hf_beta)
+
+
+def test_binary_tallies_rows():
+    t = binary_tallies({"d": False, "a": True, "c": False, "b": True},
+                       {"a": True, "b": False, "c": True, "d": False})
+    assert t.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    assert binary_from_totals(t.sum(axis=0)).n_instances == 4
 
 
 def test_fbeta_worked_values():
@@ -193,36 +236,41 @@ def _hf1(h):
     return lambda g, p: hierarchical_score(h, g, p).hf_beta
 
 
+def _hier_ci(h, gold, pred, **kw):
+    return bootstrap_ci(lambda totals: hierarchical_from_totals(totals)[2],
+                        hierarchical_tallies(h, gold, pred), **kw)
+
+
 def test_bootstrap_deterministic_and_matches_independent_resampler(worked):
     rng = random.Random(8)
     labels = sorted(worked.non_root_labels())
     gold, pred = random_label_maps(rng, labels, 25, density=0.4)
-    a = bootstrap_ci(_hf1(worked), gold, pred, resamples=200, seed=13)
-    b = bootstrap_ci(_hf1(worked), gold, pred, resamples=200, seed=13)
+    a = _hier_ci(worked, gold, pred, resamples=200, seed=13)
+    b = _hier_ci(worked, gold, pred, resamples=200, seed=13)
     assert a == b
     point, lo, hi = brute_bootstrap(_hf1(worked), gold, pred, 200, 13, 0.95)
     assert a.point == pytest.approx(point, abs=0)
     assert a.lower == pytest.approx(lo, abs=0)
     assert a.upper == pytest.approx(hi, abs=0)
     assert a.lower <= a.point <= a.upper
-    c = bootstrap_ci(_hf1(worked), gold, pred, resamples=200, seed=14)
+    c = _hier_ci(worked, gold, pred, resamples=200, seed=14)
     assert (a.lower, a.upper) != (c.lower, c.upper) or a.point == c.point
 
 
 def test_bootstrap_perfect_predictions(worked):
     gold = {"a": {"NameCalling"}, "b": {"Pathos"}, "c": {"Ethos"}}
-    ci = bootstrap_ci(_hf1(worked), gold, dict(gold), resamples=100, seed=1)
+    ci = _hier_ci(worked, gold, dict(gold), resamples=100, seed=1)
     assert ci.point == 1.0 and ci.lower == 1.0 and ci.upper == 1.0
 
 
 def test_bootstrap_validation(worked):
     gold = {"a": {"Pathos"}, "b": {"Pathos"}}
     with pytest.raises(ValueError, match="at least 2"):
-        bootstrap_ci(_hf1(worked), {"a": {"Pathos"}}, {"a": {"Pathos"}}, seed=0)
+        _hier_ci(worked, {"a": {"Pathos"}}, {"a": {"Pathos"}}, seed=0)
     with pytest.raises(ValueError, match="confidence"):
-        bootstrap_ci(_hf1(worked), gold, gold, seed=0, confidence=1.5)
+        _hier_ci(worked, gold, gold, seed=0, confidence=1.5)
     with pytest.raises(ValueError, match="resamples"):
-        bootstrap_ci(_hf1(worked), gold, gold, seed=0, resamples=0)
+        _hier_ci(worked, gold, gold, seed=0, resamples=0)
 
 
 def test_bootstrap_interval_brackets_point(worked):
@@ -230,5 +278,75 @@ def test_bootstrap_interval_brackets_point(worked):
     labels = sorted(worked.non_root_labels())
     for _ in range(10):
         gold, pred = random_label_maps(rng, labels, rng.randint(2, 40), density=0.5)
-        ci = bootstrap_ci(_hf1(worked), gold, pred, resamples=100, seed=rng.randint(0, 999))
+        ci = _hier_ci(worked, gold, pred, resamples=100, seed=rng.randint(0, 999))
         assert 0.0 <= ci.lower <= ci.point <= ci.upper <= 1.0
+
+
+def _hierarchies():
+    with open(SUBTASK2A, encoding="utf-8") as fh:
+        return [parse_hierarchy(WORKED), parse_hierarchy(MULTI_PARENT), parse_hierarchy(fh.read())]
+
+
+HIERARCHIES = _hierarchies()
+
+
+@st.composite
+def _interval_args(draw):
+    return {
+        "resamples": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "confidence": draw(st.sampled_from((0.5, 0.9, 0.95, 0.99))),
+    }
+
+
+@st.composite
+def _hier_cases(draw):
+    h = draw(st.sampled_from(HIERARCHIES))
+    ids = draw(st.permutations([f"i{j:02d}" for j in range(draw(st.integers(2, 12)))]))
+    label_sets = st.frozensets(st.sampled_from(h.labels), max_size=3)
+    gold = {iid: draw(label_sets) for iid in ids}
+    pred = {iid: draw(label_sets) for iid in ids if draw(st.booleans())}
+    return h, gold, pred, draw(st.sampled_from((0.5, 1.0, 2.0))), draw(_interval_args())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hier_cases())
+@example((  # n = 2 on the multi-parent DAG: a missing prediction and an empty gold set
+    HIERARCHIES[1], {"i01": frozenset(), "i00": frozenset({"Leaf"})},
+    {"i01": frozenset({"Shared"})}, 1.0, {"resamples": 25, "seed": 7, "confidence": 0.95},
+))
+def test_hier_bootstrap_equals_brute_resampler(case):
+    h, gold, pred, beta, kw = case
+    edges = sorted(h.edges)
+    ci = bootstrap_ci(lambda t: hierarchical_from_totals(t, beta)[2],
+                      hierarchical_tallies(h, gold, pred), **kw)
+    # the brute resampler reads pred[id], so missing ids ride along as empty sets
+    filled = {iid: pred.get(iid, frozenset()) for iid in gold}
+    point, lo, hi = brute_bootstrap(
+        lambda g, p: brute_hier_score(h.root, edges, g, p, beta)[2],
+        gold, filled, kw["resamples"], kw["seed"], kw["confidence"])
+    assert (ci.point, ci.lower, ci.upper) == (point, lo, hi)
+
+
+@st.composite
+def _binary_cases(draw):
+    ids = draw(st.permutations([f"i{j:02d}" for j in range(draw(st.integers(2, 12)))]))
+    gold = {iid: draw(st.booleans()) for iid in ids}
+    pred = {iid: draw(st.booleans()) for iid in ids}
+    return gold, pred, draw(_interval_args())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_binary_cases())
+@example(({"b": True, "a": False}, {"a": True, "b": True},
+          {"resamples": 30, "seed": 3, "confidence": 0.9}))
+def test_binary_bootstrap_equals_brute_resampler(case):
+    gold, pred, kw = case
+    tallies = binary_tallies(gold, pred)
+    macro = bootstrap_ci(lambda t: binary_from_totals(t).macro_f1, tallies, **kw)
+    micro = bootstrap_ci(lambda t: binary_from_totals(t).micro_f1, tallies, **kw)
+    args = (gold, pred, kw["resamples"], kw["seed"], kw["confidence"])
+    assert (macro.point, macro.lower, macro.upper) == brute_bootstrap(
+        lambda g, p: brute_binary_prf(g, p)[2], *args)
+    assert (micro.point, micro.lower, micro.upper) == brute_bootstrap(
+        lambda g, p: brute_binary_prf(g, p)[0][2], *args)
