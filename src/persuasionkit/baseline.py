@@ -31,7 +31,6 @@ __all__ = [
     "MODE_TEXT_CAPTION",
     "FeatureConfig",
     "TrainConfig",
-    "FeatureStats",
     "featurize",
     "HierModel",
     "train",
@@ -89,13 +88,6 @@ class TrainConfig:
             raise ValueError("bad training hyperparameters")
 
 
-@dataclass
-class FeatureStats:
-    """Counters surfaced to callers (e.g. degraded caption coverage)."""
-
-    missing_caption: int = 0
-
-
 # About 20 MB when full; a corpus with more distinct n-grams keeps its
 # most recent ones cached.
 _HASH_MEMO_SIZE = 2**16
@@ -125,26 +117,16 @@ def _accumulate(vec: dict[int, float], text: str, prefix: str, cfg: FeatureConfi
             vec[idx] = vec.get(idx, 0.0) + sign
 
 
-def featurize(
-    text: str,
-    caption: str | None,
-    cfg: FeatureConfig,
-    stats: FeatureStats | None = None,
-) -> dict[int, float]:
+def featurize(text: str, caption: str | None, cfg: FeatureConfig) -> dict[int, float]:
     """Signed hashed n-gram counts, L2-normalized; bucket index -> value.
 
-    In text+caption mode a missing caption degrades to text-only features
-    and bumps ``stats.missing_caption``.  Empty input yields the zero
-    vector (an empty dict).
+    In text+caption mode a missing caption degrades to text-only features.
+    Empty input yields the zero vector (an empty dict).
     """
     vec: dict[int, float] = {}
     _accumulate(vec, text, "", cfg)
-    if cfg.mode == MODE_TEXT_CAPTION:
-        if caption is None:
-            if stats is not None:
-                stats.missing_caption += 1
-        else:
-            _accumulate(vec, caption, "C|", cfg)
+    if cfg.mode == MODE_TEXT_CAPTION and caption is not None:
+        _accumulate(vec, caption, "C|", cfg)
     vec = {i: v for i, v in vec.items() if v != 0.0}
     norm = np.sqrt(sum(v * v for v in vec.values()))
     if norm > 0:
@@ -191,16 +173,12 @@ def loss_and_grad(
     return loss, np.asarray(grad_w).ravel(), grad_b
 
 
-def _design_matrix(
-    instances: Sequence[MemeInstance],
-    cfg: FeatureConfig,
-    stats: FeatureStats | None = None,
-) -> "sparse.csr_array":
+def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sparse.csr_array":
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     for i, inst in enumerate(instances):
-        for j, v in featurize(inst.text, inst.caption, cfg, stats).items():
+        for j, v in featurize(inst.text, inst.caption, cfg).items():
             rows.append(i)
             cols.append(j)
             vals.append(v)
@@ -282,10 +260,8 @@ def _check_hierarchy(model: HierModel, h: LabelHierarchy):
         )
 
 
-def _scores_for(
-    model: HierModel, inst: MemeInstance, stats: FeatureStats | None
-) -> np.ndarray:
-    vec = featurize(inst.text, inst.caption, model.feature_config, stats)
+def _scores_for(model: HierModel, inst: MemeInstance) -> np.ndarray:
+    vec = featurize(inst.text, inst.caption, model.feature_config)
     if not vec:
         return expit(model.bias.copy())
     idx = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
@@ -293,40 +269,27 @@ def _scores_for(
     return expit(val @ model.weights[idx] + model.bias)
 
 
-def predict(
-    model: HierModel,
-    h: LabelHierarchy,
-    inst: MemeInstance,
-    stats: FeatureStats | None = None,
-) -> frozenset[str]:
+def predict(model: HierModel, h: LabelHierarchy, inst: MemeInstance) -> frozenset[str]:
     """Labels whose sigmoid score clears their threshold, ancestor-closed.
 
     May be empty.  Refuses a hierarchy whose fingerprint differs from the
     one the model was trained against.
     """
     _check_hierarchy(model, h)
-    return _predict_checked(model, h, inst, stats)
+    return _predict_checked(model, h, inst)
 
 
-def _predict_checked(
-    model: HierModel,
-    h: LabelHierarchy,
-    inst: MemeInstance,
-    stats: FeatureStats | None,
-) -> frozenset[str]:
-    scores = _scores_for(model, inst, stats)
+def _predict_checked(model: HierModel, h: LabelHierarchy, inst: MemeInstance) -> frozenset[str]:
+    scores = _scores_for(model, inst)
     chosen = [lab for lab, s, t in zip(model.labels, scores, model.thresholds) if s > t]
     return h.extend(chosen)
 
 
 def predict_corpus(
-    model: HierModel,
-    h: LabelHierarchy,
-    corpus: Iterable[MemeInstance],
-    stats: FeatureStats | None = None,
+    model: HierModel, h: LabelHierarchy, corpus: Iterable[MemeInstance]
 ) -> dict[str, frozenset[str]]:
     _check_hierarchy(model, h)
-    return {inst.id: _predict_checked(model, h, inst, stats) for inst in corpus}
+    return {inst.id: _predict_checked(model, h, inst) for inst in corpus}
 
 
 THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))  # 0.05 .. 0.95
@@ -352,7 +315,7 @@ def tune_thresholds(
         if inst.gold is None:
             raise ValueError(f"dev instance {inst.id!r} has no gold labels")
 
-    S = np.vstack([_scores_for(model, inst, None) for inst in dev_corpus])
+    S = np.vstack([_scores_for(model, inst) for inst in dev_corpus])
     G = h.closed_rows(inst.gold for inst in dev_corpus)
     # Row j: the closed set a positive head j contributes, over h.labels.
     C = h.closed_rows([label] for label in model.labels)

@@ -401,6 +401,22 @@ def _outcome_record(outcome: CaptionOutcome) -> dict:
     }
 
 
+def _cut_torn_tail(path: str):
+    """Drop an unterminated last line, as a crash mid-append leaves it.
+
+    Its id then counts as unfinished and is captioned again.
+    """
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            keep = data.rfind(b"\n") + 1
+            logger.warning("checkpoint %s: dropping an unterminated last line "
+                           "(%d bytes); its id will be captioned again", path, len(data) - keep)
+            fh.truncate(keep)
+
+
 def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
     """Read a JSONL checkpoint; later records for an id win.
 
@@ -465,12 +481,15 @@ def caption_corpus(
     Skips instances that already carry a caption (unless ``force``) and
     ids whose checkpointed status is terminal (ok or refused_both), so
     reruns after an interruption issue requests only for incomplete ids.
+    An unterminated last checkpoint line, left by a crash mid-append, is
+    cut first; a malformed complete line still raises.
     Outcomes are appended to the checkpoint as they complete; the returned
     map includes resumed terminal outcomes.
     """
     clock = clock or _Clock()
     done: dict[str, CaptionOutcome] = {}
     if checkpoint_path:
+        _cut_torn_tail(checkpoint_path)
         for iid, outcome in load_checkpoint(checkpoint_path).items():
             if outcome.status in _TERMINAL_STATUSES:
                 done[iid] = outcome

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 remote
 provider failure.  Every run that writes an output also writes a
 ``<out>.manifest.json`` sidecar with content hashes of its inputs and
 outputs, the resolved configuration and the toolkit version, so a run can
-be reproduced from the manifest alone.
+be reproduced from the manifest alone.  Outputs and manifests are written
+atomically (temp file, then rename); the caption checkpoint is appended to.
 
 Option precedence: command-line flags, then a ``--config`` JSON file,
 then ``PERSUASIONKIT_*`` environment variables, then built-in defaults.
@@ -14,18 +15,19 @@ then ``PERSUASIONKIT_*`` environment variables, then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .baseline import (
     MODE_TEXT,
     MODE_TEXT_CAPTION,
     FeatureConfig,
-    FeatureStats,
     TrainConfig,
     load_model,
     predict_corpus,
@@ -89,9 +91,25 @@ def _sha256(path: str) -> str:
     return "sha256:" + hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, data: str | bytes):
+    """Write ``data`` whole or not at all: a temp file in the output's
+    directory, then ``os.replace`` over ``path``.  Text is UTF-8."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]):
@@ -103,7 +121,13 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": {out_path: _sha256(out_path)},
     }
-    _write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(out_path + ".manifest.json", _json(manifest))
+
+
+def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: list[str]):
+    """Write one output, then its manifest."""
+    _write(out_path, data)
+    _write_manifest(out_path, command, config, inputs)
 
 
 def _resolve(args: argparse.Namespace, key: str, default, cast=None):
@@ -119,10 +143,6 @@ def _resolve(args: argparse.Namespace, key: str, default, cast=None):
         raw = os.environ[_ENV_PREFIX + env]
         return cast(raw) if cast else raw
     return default
-
-
-def _fmt6(x: float) -> str:
-    return f"{x:.6f}"
 
 
 def _print_table(rows: list[tuple[str, float]], out=None):
@@ -153,31 +173,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except HierarchyError as exc:
         flag(f"hierarchy: {exc}")
 
-    corpus = None
-    if args.corpus:
+    loaded = {}
+    for name, load, describe in (
+        ("corpus", load_corpus,
+         lambda c: f"{len(c)} instances, {sum(i.gold is not None for i in c)} labeled"),
+        ("gold", load_predictions, lambda m: f"{len(m)} instances"),
+        ("pred", load_predictions, lambda m: f"{len(m)} instances"),
+    ):
+        path = getattr(args, name)
+        if not path:
+            continue
         try:
-            corpus = load_corpus(_read_text(args.corpus), hierarchy=h)
-            labeled = sum(1 for inst in corpus if inst.gold is not None)
-            diagnostics.append(f"corpus: ok ({len(corpus)} instances, {labeled} labeled)")
+            loaded[name] = load(_read_text(path), hierarchy=h)
+            diagnostics.append(f"{name}: ok ({describe(loaded[name])})")
         except CorpusError as exc:
-            flag(f"corpus: {exc}")
+            flag(f"{name}: {exc}")
 
-    gold = None
-    if args.gold:
-        try:
-            gold = load_predictions(_read_text(args.gold), hierarchy=h)
-            diagnostics.append(f"gold: ok ({len(gold)} instances)")
-        except CorpusError as exc:
-            flag(f"gold: {exc}")
-
-    pred = None
-    if args.pred:
-        try:
-            pred = load_predictions(_read_text(args.pred), hierarchy=h)
-            diagnostics.append(f"pred: ok ({len(pred)} instances)")
-        except CorpusError as exc:
-            flag(f"pred: {exc}")
-
+    gold, pred = loaded.get("gold"), loaded.get("pred")
     if gold is not None and pred is not None:
         extra = sorted(set(pred) - set(gold))
         if extra:
@@ -201,7 +213,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 # -- score -------------------------------------------------------------------
 
-def _score_hier(args: argparse.Namespace) -> dict:
+def _bootstrap(args: argparse.Namespace, seed: int, statistic, tallies) -> dict:
+    return asdict(bootstrap_ci(
+        statistic, tallies, resamples=args.bootstrap, seed=seed, confidence=args.confidence
+    ))
+
+
+def _score_hier(args: argparse.Namespace, seed: int) -> dict:
     if not args.hierarchy:
         raise ValueError("--hierarchy is required for --task hier")
     h = parse_hierarchy(_read_text(args.hierarchy))
@@ -225,41 +243,19 @@ def _score_hier(args: argparse.Namespace) -> dict:
             "h_recall": score.hr,
             "h_f_beta": score.hf_beta,
         },
-        "scores_x100": {
-            "h_precision": 100.0 * score.hp,
-            "h_recall": 100.0 * score.hr,
-            "h_f_beta": 100.0 * score.hf_beta,
-        },
         "totals": {
             "overlap": score.overlap_total,
             "predicted": score.pred_total,
             "gold": score.gold_total,
         },
         "missing_prediction_ids": list(score.missing_pred_ids),
-        "per_class": {
-            lab: {"tp": t.tp, "fp": t.fp, "fn": t.fn} for lab, t in diag.items()
-        },
+        "per_class": {lab: asdict(t) for lab, t in diag.items()},
     }
-    resamples = args.bootstrap or 0
-    if resamples:
-        seed = _resolve(args, "seed", 0, int)
-        ci = bootstrap_ci(
-            lambda totals: hierarchical_from_totals(totals, beta)[2],
+    if args.bootstrap:
+        report["bootstrap"] = {"h_f_beta": _bootstrap(
+            args, seed, lambda totals: hierarchical_from_totals(totals, beta)[2],
             hierarchical_tallies(h, gold, pred),
-            resamples=resamples,
-            seed=seed,
-            confidence=args.confidence,
-        )
-        report["bootstrap"] = {
-            "h_f_beta": {
-                "point": ci.point,
-                "lower": ci.lower,
-                "upper": ci.upper,
-                "resamples": ci.resamples,
-                "seed": ci.seed,
-                "confidence": ci.confidence,
-            }
-        }
+        )}
     rows = [
         ("H-F%g" % beta if beta != 1.0 else "H-F1", score.hf_beta),
         ("H-Precision", score.hp),
@@ -269,7 +265,7 @@ def _score_hier(args: argparse.Namespace) -> dict:
     return report
 
 
-def _score_binary(args: argparse.Namespace) -> dict:
+def _score_binary(args: argparse.Namespace, seed: int) -> dict:
     gold = load_binary_predictions(_read_text(args.gold))
     pred = load_binary_predictions(_read_text(args.pred))
     score = flat_binary_score(gold, pred)
@@ -277,58 +273,30 @@ def _score_binary(args: argparse.Namespace) -> dict:
         "task": "binary",
         "n_instances": score.n_instances,
         "scores": {"macro_f1": score.macro_f1, "micro_f1": score.micro_f1},
-        "scores_x100": {
-            "macro_f1": 100.0 * score.macro_f1,
-            "micro_f1": 100.0 * score.micro_f1,
-        },
-        "per_class": {
-            name: {
-                "precision": cs.precision,
-                "recall": cs.recall,
-                "f1": cs.f1,
-                "support": cs.support,
-            }
-            for name, cs in score.per_class.items()
-        },
+        "per_class": {name: asdict(cs) for name, cs in score.per_class.items()},
     }
-    resamples = args.bootstrap or 0
-    if resamples:
-        seed = _resolve(args, "seed", 0, int)
+    if args.bootstrap:
         tallies = binary_tallies(gold, pred)
-        report["bootstrap"] = {}
-        for key, fn in (
-            ("macro_f1", lambda totals: binary_from_totals(totals).macro_f1),
-            ("micro_f1", lambda totals: binary_from_totals(totals).micro_f1),
-        ):
-            ci = bootstrap_ci(
-                fn, tallies, resamples=resamples, seed=seed,
-                confidence=args.confidence,
+        report["bootstrap"] = {
+            key: _bootstrap(
+                args, seed, lambda totals, key=key: getattr(binary_from_totals(totals), key),
+                tallies,
             )
-            report["bootstrap"][key] = {
-                "point": ci.point,
-                "lower": ci.lower,
-                "upper": ci.upper,
-                "resamples": ci.resamples,
-                "seed": ci.seed,
-                "confidence": ci.confidence,
-            }
+            for key in ("macro_f1", "micro_f1")
+        }
     _print_table([("Macro-F1", score.macro_f1), ("Micro-F1", score.micro_f1)])
     return report
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    report = _score_hier(args) if args.task == "hier" else _score_binary(args)
+    seed = _resolve(args, "seed", 0, int)
+    report = (_score_hier if args.task == "hier" else _score_binary)(args, seed)
+    report["scores_x100"] = {k: 100.0 * v for k, v in report["scores"].items()}
     if args.out:
-        _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         inputs = [args.gold, args.pred] + ([args.hierarchy] if args.hierarchy else [])
-        config = {
-            "task": args.task,
-            "beta": args.beta,
-            "bootstrap": args.bootstrap,
-            "seed": _resolve(args, "seed", 0, int),
-            "confidence": args.confidence,
-        }
-        _write_manifest(args.out, "score", config, inputs)
+        config = {"task": args.task, "beta": args.beta, "bootstrap": args.bootstrap,
+                  "seed": seed, "confidence": args.confidence}
+        _emit(args.out, _json(report), "score", config, inputs)
     return 0
 
 
@@ -365,7 +333,7 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
     for status in sorted(counts):
         print(f"{status}: {counts[status]}")
     if args.captions_out:
-        _write_text(args.captions_out, write_captions(checkpoint_to_captions(outcomes)))
+        _write(args.captions_out, write_captions(checkpoint_to_captions(outcomes)))
     config = {
         "endpoint": endpoint,
         "model": cfg.model,
@@ -375,6 +343,8 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
         "seed": seed,
         "force": args.force,
     }
+    # The checkpoint is appended to as outcomes arrive; only its manifest
+    # is written here.
     if os.path.exists(args.out):
         _write_manifest(args.out, "caption", config, [args.corpus])
     if counts.get(STATUS_TRANSPORT_ERROR):
@@ -398,44 +368,30 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.tune_dev:
         dev = load_corpus(_read_text(args.tune_dev), hierarchy=h)
         model = tune_thresholds(model, dev, h)
-    _write_text_bytes(args.out, save_model(model))
     inputs = [args.hierarchy, args.corpus] + ([args.tune_dev] if args.tune_dev else [])
-    config = {
-        "mode": args.mode,
-        "dim": args.dim,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "l2": args.l2,
-        "seed": seed,
-        "tuned": bool(args.tune_dev),
-    }
-    _write_manifest(args.out, "train", config, inputs)
+    config = {"mode": args.mode, "dim": args.dim, "epochs": args.epochs, "lr": args.lr,
+              "l2": args.l2, "seed": seed, "tuned": bool(args.tune_dev)}
+    _emit(args.out, save_model(model), "train", config, inputs)
     print(f"trained {len(model.labels)} label heads -> {args.out}")
     return 0
-
-
-def _write_text_bytes(path: str, data: bytes):
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(_read_bytes(args.model))
     h = parse_hierarchy(_read_text(args.hierarchy))
     corpus = load_corpus(_read_text(args.corpus), hierarchy=h)
-    stats = FeatureStats()
-    preds = predict_corpus(model, h, corpus, stats)
-    if stats.missing_caption:
+    preds = predict_corpus(model, h, corpus)
+    # A text+caption model scores a caption-less instance on its text alone.
+    degraded = 0
+    if model.feature_config.mode == MODE_TEXT_CAPTION:
+        degraded = sum(inst.caption is None for inst in corpus)
+    if degraded:
         logger.warning(
-            "%d instance(s) lacked a caption; scored on text features only",
-            stats.missing_caption,
+            "%d instance(s) lacked a caption; scored on text features only", degraded
         )
-    _write_text(args.out, write_predictions(preds))
-    config = {
-        "mode": model.feature_config.mode,
-        "degraded_to_text_only": stats.missing_caption,
-    }
-    _write_manifest(args.out, "predict", config, [args.model, args.hierarchy, args.corpus])
+    config = {"mode": model.feature_config.mode, "degraded_to_text_only": degraded}
+    _emit(args.out, write_predictions(preds), "predict", config,
+          [args.model, args.hierarchy, args.corpus])
     print(f"predicted {len(preds)} instances -> {args.out}")
     return 0
 
@@ -454,7 +410,6 @@ def cmd_caption_eval(args: argparse.Namespace) -> int:
             "f1": report_obj.rouge_l_f1,
         },
         "bleu_4": report_obj.bleu_4,
-        "bert_score": report_obj.bert_score,  # externally computed, if ever
     }
     _print_table(
         [
@@ -465,10 +420,8 @@ def cmd_caption_eval(args: argparse.Namespace) -> int:
         ]
     )
     if args.out:
-        _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        _write_manifest(
-            args.out, "caption-eval", {}, [args.candidates, args.references]
-        )
+        _emit(args.out, _json(report), "caption-eval", {},
+              [args.candidates, args.references])
     return 0
 
 
@@ -544,6 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "validate": cmd_validate,
+    "score": cmd_score,
+    "caption": cmd_caption,
+    "train": cmd_train,
+    "predict": cmd_predict,
+    "caption-eval": cmd_caption_eval,
+}
+
+
 def main(argv: list[str] | None = None, transport=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -558,19 +521,9 @@ def main(argv: list[str] | None = None, transport=None) -> int:
             args._config_data = json.loads(_read_text(args.config))
             if not isinstance(args._config_data, dict):
                 raise ValueError("--config must contain a JSON object")
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "score":
-            return cmd_score(args)
-        if args.command == "caption":
-            return cmd_caption(args, transport=transport)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        if args.command == "caption-eval":
-            return cmd_caption_eval(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        # caption alone takes the injectable transport (tests, benchmarks).
+        extra = {"transport": transport} if args.command == "caption" else {}
+        return COMMANDS[args.command](args, **extra)
     except TransportError as exc:
         print(f"remote error: {exc}", file=sys.stderr)
         return 3

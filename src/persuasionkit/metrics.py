@@ -14,6 +14,7 @@ The bootstrap resamples those rows, so a resample costs one weighted sum.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
@@ -94,13 +95,22 @@ def fbeta(precision: float, recall: float, beta: float = 1.0) -> float:
     """(beta^2 + 1) * P * R / (beta^2 * P + R), and 0 when that denominator is 0.
 
     beta < 1 leans toward precision, beta > 1 toward recall; beta = 1 is
-    the harmonic mean.  Equal arguments are returned unchanged.
+    the harmonic mean.  Equal arguments come back up to rounding:
+    ``fbeta(0.1, 0.1)`` is 0.10000000000000002.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
     denom = beta * beta * precision + recall
     if denom == 0.0:
         return 0.0
+    if precision * recall < sys.float_info.min and precision > 0.0 and recall > 0.0:
+        # A subnormal product has lost the digits the quotient needs (F0 at
+        # P = 0.75, R = 5e-324 would read 1.0); exact rationals round once.
+        # Imported here: fractions pulls in decimal, which no CLI run needs.
+        from fractions import Fraction
+
+        p, r, b2 = Fraction(precision), Fraction(recall), Fraction(beta) ** 2
+        return float((b2 + 1) * p * r / (b2 * p + r))
     return (beta * beta + 1.0) * precision * recall / denom
 
 

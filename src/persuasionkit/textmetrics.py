@@ -132,9 +132,6 @@ class CaptionQualityReport:
     rouge_l_f1: float
     bleu_4: float
     n_pairs: int
-    # Slot for an externally computed embedding-similarity score; this
-    # toolkit never fills it.
-    bert_score: float | None = None
 
 
 def score_caption_pairs(

@@ -205,7 +205,7 @@ def reference_tune_thresholds(model, dev_corpus, h, max_passes: int = 2):
         if inst.gold is None:
             raise ValueError(f"dev instance {inst.id!r} has no gold labels")
 
-    S = np.vstack([_scores_for(model, inst, None) for inst in dev_corpus])
+    S = np.vstack([_scores_for(model, inst) for inst in dev_corpus])
     gold = {inst.id: inst.gold for inst in dev_corpus}
     ids = [inst.id for inst in dev_corpus]
 

@@ -131,7 +131,8 @@ def test_worked_example_through_cli(tmp_path):
         "--out", out,
     ])
     assert rc == 0
-    report = json.load(open(out))
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
     assert abs(report["scores"]["h_precision"] - 1.0) <= 1e-9
     assert abs(report["scores"]["h_recall"] - 0.5) <= 1e-9
     assert abs(report["scores"]["h_f_beta"] - 2.0 / 3.0) <= 1e-9

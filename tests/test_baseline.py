@@ -14,7 +14,6 @@ from persuasionkit.baseline import (
     MODE_TEXT_CAPTION,
     THRESHOLD_GRID,
     FeatureConfig,
-    FeatureStats,
     HierModel,
     TrainConfig,
     featurize,
@@ -75,13 +74,9 @@ def test_caption_namespace_differs_from_concatenation():
 
 def test_missing_caption_degrades_to_text_only():
     dim = 2**12
-    stats = FeatureStats()
-    degraded = featurize(
-        "some text", None, FeatureConfig(dimension=dim, mode=MODE_TEXT_CAPTION), stats
-    )
+    degraded = featurize("some text", None, FeatureConfig(dimension=dim, mode=MODE_TEXT_CAPTION))
     text_only = featurize("some text", None, FeatureConfig(dimension=dim))
     assert degraded == text_only
-    assert stats.missing_caption == 1
 
 
 def test_hash_memo_is_keyed_on_dimension(monkeypatch):
@@ -403,13 +398,3 @@ def test_predict_refuses_wrong_hierarchy():
     with pytest.raises(ValueError, match="fingerprint"):
         predict_corpus(model, other, MEMORIZE)
 
-
-def test_caption_mode_counts_degraded_instances():
-    corpus = [
-        doc("a", "buy bargain", {"NameCalling"}, caption="a shopping meme"),
-        doc("b", "fear dread", {"Pathos"}),  # no caption
-    ]
-    model = train(corpus, H, FeatureConfig(dimension=2**10, mode=MODE_TEXT_CAPTION))
-    stats = FeatureStats()
-    predict_corpus(model, H, corpus, stats)
-    assert stats.missing_caption == 1

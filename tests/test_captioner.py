@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,12 +51,12 @@ def inst(iid="m1", text="HELLO", image="https://img.test/m1.png", caption=None):
 # -- templates ---------------------------------------------------------------
 
 def test_render_primary_byte_exact(test_data_dir):
-    want = open(os.path.join(test_data_dir, "prompt_primary_HELLO.txt"), "rb").read()
+    want = Path(test_data_dir, "prompt_primary_HELLO.txt").read_bytes()
     assert render_prompt(PRIMARY_PROMPT, "HELLO").encode("utf-8") == want
 
 
 def test_render_fallback_byte_exact(test_data_dir):
-    want = open(os.path.join(test_data_dir, "prompt_fallback.txt"), "rb").read()
+    want = Path(test_data_dir, "prompt_fallback.txt").read_bytes()
     # the fallback prompt has no placeholder; it renders unchanged
     assert render_prompt(FALLBACK_PROMPT, "anything").encode("utf-8") == want
     assert "{meme_text}" not in FALLBACK_PROMPT.body
@@ -278,7 +279,7 @@ def test_checkpoint_resume_only_incomplete(tmp_path):
     assert second["b"].status == STATUS_REFUSED_BOTH  # carried over, not retried
 
     # checkpoint is the captions format plus status bookkeeping
-    recs = [json.loads(line) for line in open(ck, encoding="utf-8")]
+    recs = [json.loads(line) for line in Path(ck).read_text(encoding="utf-8").splitlines()]
     assert {"id", "caption", "source", "status", "attempts", "model"} <= set(recs[0])
     caps = checkpoint_to_captions(load_checkpoint(ck))
     assert set(caps) == {"a", "d", "c"}
@@ -395,5 +396,5 @@ def test_credential_never_leaks(monkeypatch, tmp_path, caplog):
             [inst()], cfg, ScriptedTransport(), checkpoint_path=ck,
             clock=_Clock(lambda: 0.0, lambda s: None),
         )
-    assert secret not in open(ck, encoding="utf-8").read()
+    assert secret not in Path(ck).read_text(encoding="utf-8")
     assert secret not in caplog.text

@@ -1,7 +1,10 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from persuasionkit.cli import main
 from persuasionkit.corpus import load_captions, load_predictions
@@ -24,6 +27,14 @@ MEM_CORPUS = [
     {"id": "d3", "text": "trust trust honor honor duty", "labels": ["Ethos"]},
     {"id": "d4", "text": "calm calm plain plain prose", "labels": []},
 ]
+
+
+def read_text(path):
+    return Path(path).read_text(encoding="utf-8")
+
+
+def read_json(path):
+    return json.loads(read_text(path))
 
 
 def write(path, text):
@@ -106,13 +117,13 @@ def test_score_hier_worked_example(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "H-F1" in printed and "66.666667" in printed
-    report = json.load(open(out))
+    report = read_json(out)
     assert report["scores"]["h_precision"] == pytest.approx(1.0, abs=1e-9)
     assert report["scores"]["h_recall"] == pytest.approx(0.5, abs=1e-9)
     assert report["scores"]["h_f_beta"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert report["scores_x100"]["h_f_beta"] == pytest.approx(66.666667, abs=1e-4)
     assert report["totals"] == {"overlap": 1, "predicted": 1, "gold": 2}
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = read_json(out + ".manifest.json")
     assert manifest["command"] == "score"
     assert set(manifest["inputs"]) == {WORKED_GOLD, WORKED_PRED, WORKED_H}
     assert all(v.startswith("sha256:") for v in manifest["inputs"].values())
@@ -131,7 +142,7 @@ def test_score_binary_fixture(tmp_path, capsys):
     rc = main(["score", "--task", "binary",
                "--gold", BIN_GOLD, "--pred", BIN_PRED, "--out", out])
     assert rc == 0
-    report = json.load(open(out))
+    report = read_json(out)
     assert report["scores"]["macro_f1"] == pytest.approx(0.5, abs=1e-9)
     assert report["scores"]["micro_f1"] == pytest.approx(0.5, abs=1e-9)
     assert report["per_class"]["positive"]["support"] == 2
@@ -163,7 +174,7 @@ def test_score_bootstrap_block(tmp_path):
                "--gold", gold, "--pred", pred,
                "--bootstrap", "50", "--seed", "7", "--out", out])
     assert rc == 0
-    ci = json.load(open(out))["bootstrap"]["h_f_beta"]
+    ci = read_json(out)["bootstrap"]["h_f_beta"]
     assert ci["resamples"] == 50 and ci["seed"] == 7
     assert ci["lower"] <= ci["point"] <= ci["upper"]
 
@@ -184,7 +195,7 @@ def test_seed_precedence(tmp_path, monkeypatch):
                  "--gold", gold, "--pred", pred,
                  "--bootstrap", "10", "--out", out] + extra
         assert main(argv) == 0
-        return json.load(open(out))["bootstrap"]["h_f_beta"]["seed"]
+        return read_json(out)["bootstrap"]["h_f_beta"]["seed"]
 
     assert run([]) == 0                                     # built-in default
     assert run([], env_seed=13) == 13                       # env beats default
@@ -205,14 +216,14 @@ def test_train_predict_score_end_to_end(tmp_path, capsys):
                "--dim", "1024", "--epochs", "500", "--out", model])
     assert rc == 0
     assert "trained 3 label heads" in capsys.readouterr().out
-    tm = json.load(open(model + ".manifest.json"))
+    tm = read_json(model + ".manifest.json")
     assert tm["command"] == "train" and tm["config"]["dim"] == 1024
 
     preds_path = str(tmp_path / "preds.json")
     rc = main(["predict", "--model", model, "--hierarchy", WORKED_H,
                "--corpus", corpus, "--out", preds_path])
     assert rc == 0
-    preds = load_predictions(open(preds_path).read())
+    preds = load_predictions(read_text(preds_path))
     assert preds["d1"] == frozenset({"NameCalling", "Ethos"})
     assert preds["d4"] == frozenset()
 
@@ -220,7 +231,7 @@ def test_train_predict_score_end_to_end(tmp_path, capsys):
     rc = main(["score", "--task", "hier", "--hierarchy", WORKED_H,
                "--gold", corpus, "--pred", preds_path, "--out", out])
     assert rc == 0
-    assert json.load(open(out))["scores"]["h_f_beta"] == 1.0
+    assert read_json(out)["scores"]["h_f_beta"] == 1.0
 
 
 def test_train_is_deterministic_across_runs(tmp_path):
@@ -230,10 +241,10 @@ def test_train_is_deterministic_across_runs(tmp_path):
         model = str(tmp_path / name)
         assert main(["train", "--hierarchy", WORKED_H, "--corpus", corpus,
                      "--dim", "1024", "--seed", "42", "--out", model]) == 0
-        blobs.append(open(model, "rb").read())
+        blobs.append(Path(model).read_bytes())
     assert blobs[0] == blobs[1]
-    m1 = json.load(open(str(tmp_path / "m1.json") + ".manifest.json"))
-    m2 = json.load(open(str(tmp_path / "m2.json") + ".manifest.json"))
+    m1 = read_json(str(tmp_path / "m1.json") + ".manifest.json")
+    m2 = read_json(str(tmp_path / "m2.json") + ".manifest.json")
     assert list(m1["outputs"].values()) == list(m2["outputs"].values())
 
 
@@ -244,12 +255,12 @@ def test_train_with_tuning_and_caption_mode(tmp_path):
                "--mode", "text+caption", "--dim", "1024", "--epochs", "300",
                "--tune-dev", corpus, "--out", model])
     assert rc == 0
-    assert json.load(open(model + ".manifest.json"))["config"]["tuned"] is True
+    assert read_json(model + ".manifest.json")["config"]["tuned"] is True
 
     preds_path = str(tmp_path / "preds.json")
     assert main(["predict", "--model", model, "--hierarchy", WORKED_H,
                  "--corpus", corpus, "--out", preds_path]) == 0
-    pm = json.load(open(preds_path + ".manifest.json"))
+    pm = read_json(preds_path + ".manifest.json")
     # no instance has a caption, so every one degrades to text features
     assert pm["config"]["degraded_to_text_only"] == 4
 
@@ -283,6 +294,26 @@ def test_predict_incomplete_model_file_is_validation_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_predict_counts_caption_less_instances(tmp_path, caplog):
+    labeled = [dict(rec, caption=f"caption {rec['id']}", caption_source="manual")
+               for rec in MEM_CORPUS]
+    corpus = write(tmp_path / "captioned.json", json.dumps(labeled))
+    mixed = write(tmp_path / "mixed.json", json.dumps(
+        labeled[:1] + MEM_CORPUS[1:3] + labeled[3:]))  # d2, d3 lack captions
+    for mode, degraded in (("text+caption", 2), ("text", 0)):
+        model = str(tmp_path / f"{mode}.model.json")
+        assert main(["train", "--hierarchy", WORKED_H, "--corpus", corpus, "--mode", mode,
+                     "--dim", "1024", "--epochs", "50", "--out", model]) == 0
+        preds = str(tmp_path / f"{mode}.preds.json")
+        caplog.clear()
+        assert main(["predict", "--model", model, "--hierarchy", WORKED_H,
+                     "--corpus", mixed, "--out", preds]) == 0
+        config = read_json(preds + ".manifest.json")["config"]
+        assert config == {"mode": mode, "degraded_to_text_only": degraded}
+        warned = "2 instance(s) lacked a caption" in caplog.text
+        assert warned == bool(degraded)
+
+
 # -- caption -------------------------------------------------------------------
 
 CAPTION_CORPUS = [
@@ -303,13 +334,13 @@ def test_caption_command_with_injected_transport(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "ok_prompt1: 1" in out and "ok_prompt2: 1" in out
-    parsed = load_captions(open(caps).read())
+    parsed = load_captions(read_text(caps))
     assert set(parsed) == {"a", "b"}
     assert parsed["a"] == ("try two", "external-zero-shot")
-    manifest = json.load(open(ck + ".manifest.json"))
+    manifest = read_json(ck + ".manifest.json")
     assert manifest["config"]["credential_env"] == "PERSUASIONKIT_API_KEY"
-    blob = open(ck).read() + json.dumps(manifest)
-    assert "PERSUASIONKIT_API_KEY" not in open(ck).read()  # env name only in manifest
+    blob = read_text(ck) + json.dumps(manifest)
+    assert "PERSUASIONKIT_API_KEY" not in read_text(ck)  # env name only in manifest
     assert "Bearer" not in blob
 
 
@@ -342,6 +373,56 @@ def test_caption_bad_checkpoint_record_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+TORN_CORPUS = [
+    {"id": f"t{k}", "text": f"text {k}", "image": f"https://img.test/t{k}.png"}
+    for k in range(4)
+]
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_caption_resumes_from_torn_checkpoint(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = write(os.path.join(tmp, "c.json"), json.dumps(TORN_CORPUS))
+        ck = os.path.join(tmp, "ck.jsonl")
+        # Non-ASCII captions, so a cut can split a UTF-8 sequence.
+        assert main(["caption", "--corpus", corpus, "--out", ck],
+                    transport=ScriptedTransport(default=ok_response("légende ✓"))) == 0
+        lines = Path(ck).read_bytes().splitlines(keepends=True)
+        last = data.draw(st.integers(0, len(lines) - 1), label="last record")
+        cut = data.draw(st.integers(0, len(lines[last]) - 1), label="byte offset")
+        Path(ck).write_bytes(b"".join(lines[:last]) + lines[last][:cut])
+
+        transport = ScriptedTransport()
+        assert main(["caption", "--corpus", corpus, "--out", ck], transport=transport) == 0
+        records = [json.loads(line) for line in read_text(ck).splitlines()]
+        assert {r["id"] for r in records} == {r["id"] for r in TORN_CORPUS}
+        finished = {json.loads(line)["id"] for line in lines[:last]}
+        sent = [req["messages"][0]["content"][1]["image_url"]["url"]
+                for req in transport.requests]
+        assert sent == [r["image"] for r in TORN_CORPUS if r["id"] not in finished]
+
+
+def test_caption_bad_middle_checkpoint_line_names_it(tmp_path, capsys):
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    good = json.dumps({"id": "a", "status": "ok_prompt1", "caption": "x"})
+    ck = write(tmp_path / "ck.jsonl", good + "\n" + good[:9] + "\n" + good + "\n")
+    rc = main(["caption", "--corpus", corpus, "--out", ck], transport=ScriptedTransport())
+    assert rc == 1
+    assert "error: checkpoint line 2: invalid JSON" in capsys.readouterr().err
+
+
+def test_caption_torn_tail_is_cut_with_a_warning(tmp_path, caplog):
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    good = json.dumps({"id": "a", "status": "ok_prompt1", "caption": "x"})
+    ck = write(tmp_path / "ck.jsonl", good + "\n" + good[:9])
+    transport = ScriptedTransport()
+    assert main(["caption", "--corpus", corpus, "--out", ck], transport=transport) == 0
+    assert "dropping an unterminated last line (9 bytes)" in caplog.text
+    assert len(transport.requests) == 1  # b only; a was finished
+    assert read_text(ck).startswith(good + "\n" + "{")
+
+
 def test_caption_requires_endpoint(tmp_path, capsys):
     corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
     rc = main(["caption", "--corpus", corpus, "--out", str(tmp_path / "ck.jsonl")])
@@ -359,7 +440,7 @@ def test_caption_eval(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "ROUGE-L-F1" in printed and "BLEU-4" in printed
-    report = json.load(open(out))
+    report = read_json(out)
     assert report["rouge_l"]["f1"] == pytest.approx(0.857143, abs=1e-6)
     assert report["bleu_4"] == 0.0  # the candidate trigram never matches
     assert report["n_pairs"] == 1
@@ -387,3 +468,94 @@ def test_config_must_be_object(tmp_path, capsys):
     rc = main(["--config", cfg, "validate", "--hierarchy", WORKED_H])
     assert rc == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_report_and_manifest_key_sets(tmp_path):
+    gold, pred = _boot_files(tmp_path)
+    manifest_keys = {"tool", "version", "command", "config", "inputs", "outputs"}
+    ci_keys = {"point", "lower", "upper", "resamples", "seed", "confidence"}
+    score_config = {"task", "beta", "bootstrap", "seed", "confidence"}
+
+    def run(argv, out):
+        assert main(argv + ["--out", out]) == 0
+        manifest = read_json(out + ".manifest.json")
+        assert set(manifest) == manifest_keys
+        return read_json(out), manifest
+
+    for boot in ([], ["--bootstrap", "20"]):
+        out = str(tmp_path / f"hier{len(boot)}.json")
+        rep, man = run(["score", "--task", "hier", "--hierarchy", WORKED_H,
+                        "--gold", gold, "--pred", pred] + boot, out)
+        assert set(rep) == {"task", "beta", "n_instances", "scores", "scores_x100", "totals",
+                              "missing_prediction_ids", "per_class"} | ({"bootstrap"} if boot else set())
+        assert set(rep["scores"]) == set(rep["scores_x100"]) == {
+            "h_precision", "h_recall", "h_f_beta"}
+        assert set(rep["totals"]) == {"overlap", "predicted", "gold"}
+        assert all(set(v) == {"tp", "fp", "fn"} for v in rep["per_class"].values())
+        if boot:
+            assert set(rep["bootstrap"]) == {"h_f_beta"}
+            assert set(rep["bootstrap"]["h_f_beta"]) == ci_keys
+        assert set(man["config"]) == score_config
+
+        out = str(tmp_path / f"bin{len(boot)}.json")
+        rep, man = run(["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED]
+                       + boot, out)
+        assert set(rep) == {"task", "n_instances", "scores", "scores_x100",
+                              "per_class"} | ({"bootstrap"} if boot else set())
+        assert set(rep["scores"]) == set(rep["scores_x100"]) == {"macro_f1", "micro_f1"}
+        assert all(set(v) == {"precision", "recall", "f1", "support"}
+                   for v in rep["per_class"].values())
+        if boot:
+            assert set(rep["bootstrap"]) == {"macro_f1", "micro_f1"}
+            assert all(set(v) == ci_keys for v in rep["bootstrap"].values())
+        assert set(man["config"]) == score_config
+
+    corpus = _write_mem_corpus(tmp_path)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--hierarchy", WORKED_H, "--corpus", corpus,
+                 "--dim", "1024", "--epochs", "20", "--out", model]) == 0
+    man = read_json(model + ".manifest.json")
+    assert set(man) == manifest_keys
+    assert set(man["config"]) == {"mode", "dim", "epochs", "lr", "l2", "seed", "tuned"}
+
+    preds = str(tmp_path / "preds.json")
+    assert main(["predict", "--model", model, "--hierarchy", WORKED_H,
+                 "--corpus", corpus, "--out", preds]) == 0
+    man = read_json(preds + ".manifest.json")
+    assert set(man) == manifest_keys
+    assert set(man["config"]) == {"mode", "degraded_to_text_only"}
+
+    cand = write(tmp_path / "cand.txt", "the cat sat\n")
+    ref = write(tmp_path / "ref.txt", "the cat was sat\n")
+    rep, man = run(["caption-eval", "--candidates", cand, "--references", ref],
+                   str(tmp_path / "eval.json"))
+    assert set(rep) == {"n_pairs", "rouge_l", "bleu_4"}
+    assert set(rep["rouge_l"]) == {"precision", "recall", "f1"}
+    assert man["config"] == {}
+
+
+@pytest.mark.parametrize("command", ["score", "train"])
+def test_failed_replace_keeps_old_output_and_leaves_no_temp(tmp_path, monkeypatch,
+                                                            capsys, command):
+    out = write(tmp_path / "out.json", "old bytes")
+    corpus = _write_mem_corpus(tmp_path)
+    argv = {
+        "score": ["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED],
+        "train": ["train", "--hierarchy", WORKED_H, "--corpus", corpus, "--dim", "1024",
+                  "--epochs", "5"],
+    }[command] + ["--out", out]
+    before = set(os.listdir(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(argv) == 2
+    assert "i/o error: cannot replace" in capsys.readouterr().err
+    assert read_text(out) == "old bytes"
+    assert set(os.listdir(tmp_path)) == before
+    monkeypatch.undo()
+
+    assert main(argv) == 0
+    assert read_text(out) != "old bytes"
+    assert set(os.listdir(tmp_path)) == before | {"out.json.manifest.json"}

@@ -164,6 +164,7 @@ def test_fbeta_worked_values():
     r=st.floats(0.0, 1.0, allow_nan=False),
     beta=st.floats(0.0, 50.0, allow_nan=False),
 )
+@example(p=0.75, r=5e-324, beta=0.0)  # subnormal P*R: F0 must still be P
 def test_fbeta_bounds(p, r, beta):
     f = fbeta(p, r, beta)
     if p + r > 0:

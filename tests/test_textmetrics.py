@@ -152,7 +152,6 @@ def test_score_caption_pairs_values():
     assert rep.rouge_l_precision == pytest.approx(1.0, abs=1e-9)
     assert rep.rouge_l_recall == pytest.approx(0.75, abs=1e-9)
     assert rep.bleu_4 == pytest.approx(bleu4(tokenize("the cat sat"), [tokenize("the cat was sat")]), abs=1e-12)
-    assert rep.bert_score is None
 
 
 def test_score_caption_pairs_errors():
