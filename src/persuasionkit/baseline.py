@@ -5,6 +5,9 @@ Training is full-batch gradient descent with a fixed epoch count, zero
 initialization and an L2 penalty, so a (corpus, hierarchy, config, seed)
 tuple maps to bit-identical model files.  Per-label decision thresholds
 start at 0.5 and can be tuned by coordinate ascent on dev HF1.
+
+scipy is imported inside the functions that fit and score, so the
+commands that never touch a model do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ import functools
 import hashlib
 import json
 import logging
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from .corpus import MemeInstance
 from .hierarchy import LabelHierarchy
@@ -160,6 +162,8 @@ def loss_and_grad(
     Returns (loss, dloss/dw, dloss/db).  This is the exact objective the
     trainer descends, exposed so the gradients can be checked numerically.
     """
+    from scipy.special import expit
+
     n = X.shape[0]
     z = X @ w + b
     p = expit(z)
@@ -174,17 +178,26 @@ def loss_and_grad(
 
 
 def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sparse.csr_array":
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, inst in enumerate(instances):
-        for j, v in featurize(inst.text, inst.caption, cfg).items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-    return sparse.csr_array(
-        (vals, (rows, cols)), shape=(len(instances), cfg.dimension), dtype=np.float64
+    from scipy import sparse
+
+    # Flat typed buffers rather than one Python object per non-zero.
+    cols = array("q")
+    vals = array("d")
+    indptr = array("q", [0])
+    for inst in instances:
+        vec = featurize(inst.text, inst.caption, cfg)
+        cols.extend(vec.keys())
+        vals.extend(vec.values())
+        indptr.append(len(cols))
+    X = sparse.csr_array(
+        (np.frombuffer(vals, dtype=np.float64), np.frombuffer(cols, dtype=np.int64),
+         np.frombuffer(indptr, dtype=np.int64)),
+        shape=(len(instances), cfg.dimension),
     )
+    # Ascending columns per row, as a COO -> CSR build leaves them: descent
+    # sums in this order, so the model bytes depend on it.
+    X.sort_indices()
+    return X
 
 
 def train(
@@ -200,6 +213,8 @@ def train(
     zero weights and a strongly negative bias (always-negative head) and a
     warning.  Thresholds start at 0.5.
     """
+    from scipy.special import expit
+
     fcfg = feature_config or FeatureConfig()
     tcfg = train_config or TrainConfig()
     if not corpus:
@@ -261,6 +276,8 @@ def _check_hierarchy(model: HierModel, h: LabelHierarchy):
 
 
 def _scores_for(model: HierModel, inst: MemeInstance) -> np.ndarray:
+    from scipy.special import expit
+
     vec = featurize(inst.text, inst.caption, model.feature_config)
     if not vec:
         return expit(model.bias.copy())

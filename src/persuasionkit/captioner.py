@@ -2,9 +2,11 @@
 
 Protocol per instance: send the primary prompt; on a content-policy
 refusal send the fallback prompt once; a second refusal is terminal
-(``refused_both``).  Transport failures (network, 5xx, timeouts) are
-retried up to 3 times per request with exponential backoff; refusals are
-never retried.  Requests use a chat-completions style wire format whose
+(``refused_both``).  Transport failures (network errors, timeouts, HTTP
+408, 429 and 5xx) are retried up to 3 times per request with exponential
+backoff; any other HTTP 4xx ends the instance after one attempt, since
+repeating the request cannot change the answer.  Refusals are never
+retried.  Requests use a chat-completions style wire format whose
 user message carries a text part and an image part.
 
 The credential is read from an environment variable at send time and is
@@ -153,7 +155,20 @@ class ProviderConfig:
 
 
 class TransportError(RuntimeError):
-    """Network-level failure talking to the caption provider."""
+    """Failure talking to the caption provider.
+
+    ``retryable`` is False when sending the same request again cannot
+    succeed (an HTTP 4xx other than 408 and 429).
+    """
+
+    def __init__(self, message: str, retryable: bool = True):
+        super().__init__(message)
+        self.retryable = retryable
+
+
+# 4xx statuses that report a transient condition: request timeout and
+# rate limiting.
+_RETRYABLE_4XX = frozenset({408, 429})
 
 
 def _image_part(image_ref: str) -> dict:
@@ -231,8 +246,10 @@ class HttpTransport:
             )
         except Exception as exc:
             raise TransportError(f"request failed: {type(exc).__name__}") from None
-        if resp.status_code >= 400:
-            raise TransportError(f"provider returned HTTP {resp.status_code}")
+        status = resp.status_code
+        if status >= 400:
+            raise TransportError(f"provider returned HTTP {status}",
+                                 retryable=status >= 500 or status in _RETRYABLE_4XX)
         try:
             return resp.json()
         except Exception:
@@ -257,29 +274,29 @@ class _Clock:
 
 
 class TokenBucket:
-    """Blocking token bucket: ``rate_per_minute`` requests, burst of 1."""
+    """Blocking token bucket: ``rate_per_minute`` requests, burst of 1.
+
+    The bucket keeps the time its next token is due rather than a float
+    token count.  Each ``acquire`` claims the next slot and sleeps until
+    it, once, so a completed sleep always grants the token; a refill that
+    rounds to just under one token cannot make it wait again.
+    """
 
     def __init__(self, rate_per_minute: float, clock: _Clock | None = None):
         if rate_per_minute <= 0:
             raise ValueError("rate_per_minute must be positive")
-        self.rate = rate_per_minute / 60.0
-        self.capacity = 1.0
-        self.tokens = 1.0
+        self.interval = 60.0 / rate_per_minute
         self.clock = clock or _Clock()
-        self.last = self.clock.monotonic()
+        self.next_due = self.clock.monotonic()
         self._lock = threading.Lock()
 
     def acquire(self):
-        while True:
-            with self._lock:
-                now = self.clock.monotonic()
-                self.tokens = min(self.capacity, self.tokens + (now - self.last) * self.rate)
-                self.last = now
-                if self.tokens >= 1.0:
-                    self.tokens -= 1.0
-                    return
-                wait = (1.0 - self.tokens) / self.rate
-            self.clock.sleep(wait)
+        with self._lock:
+            now = self.clock.monotonic()
+            due = max(self.next_due, now)
+            self.next_due = due + self.interval
+        if due > now:
+            self.clock.sleep(due - now)
 
 
 def _is_refusal(resp: dict, patterns: Iterable[str]) -> tuple[bool, str]:
@@ -333,7 +350,7 @@ def _send_with_retries(
             attempts += 1
             return transport.send(body), attempts
         except TransportError as exc:
-            if trial == cfg.max_transport_retries:
+            if not exc.retryable or trial == cfg.max_transport_retries:
                 logger.warning("transport gave up after %d attempts: %s", attempts, exc)
                 return None, attempts
             delay = cfg.backoff_base * (2.0**trial) + rng.uniform(0.0, 0.25)

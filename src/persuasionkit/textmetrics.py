@@ -38,19 +38,24 @@ class RougeLScore:
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    # Rolling-row LCS; O(len(a) * len(b)) time, O(len(b)) space.
+    # Bit-parallel LCS length (Allison & Dix 1986; Hyyro 2004).  Bit j of v
+    # is 0 where the LCS of the tokens of a read so far with b[:j + 1] is
+    # one longer than with b[:j], so the zeros count the LCS.  Each token
+    # of the longer sequence costs one add and a few masks on an int of
+    # len(b) bits; the result is the integer the quadratic table gives.
     if len(b) > len(a):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        m = masks.get(x)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeLScore:
@@ -73,7 +78,7 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeLScore:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu4(
@@ -106,13 +111,11 @@ def bleu4(
         cand_counts = _ngram_counts(candidate, n)
         if not cand_counts:
             continue
-        max_ref: Counter = Counter()
-        for ref in refs:
-            for gram, cnt in _ngram_counts(ref, n).items():
-                if cnt > max_ref[gram]:
-                    max_ref[gram] = cnt
-        clipped = sum(min(cnt, max_ref[gram]) for gram, cnt in cand_counts.items())
-        total = sum(cand_counts.values())
+        max_ref = _ngram_counts(refs[0], n)
+        for ref in refs[1:]:
+            max_ref |= _ngram_counts(ref, n)
+        clipped = sum((cand_counts & max_ref).values())
+        total = c - n + 1
         if clipped == 0:
             return 0.0
         log_sum += math.log(clipped / total)

@@ -8,7 +8,9 @@ LCS by the full quadratic table.  Slow is fine; different is the point.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 import numpy as np
 from scipy.special import expit
@@ -252,6 +254,65 @@ def brute_lcs(a, b) -> int:
             else:
                 T[i][j] = max(T[i - 1][j], T[i][j - 1])
     return T[m][n]
+
+
+# The rolling-row LCS and per-position n-gram BLEU that textmetrics used
+# before its bit-parallel LCS and zip-counted n-grams; the fast kernels
+# must return exactly what these return.
+
+def reference_lcs_len(a, b) -> int:
+    # Rolling-row LCS; O(len(a) * len(b)) time, O(len(b)) space.
+    if len(b) > len(a):
+        a, b = b, a
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def _reference_ngram_counts(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_bleu4(candidate, references, max_order: int = 4) -> float:
+    refs = [list(r) for r in references]
+    if not refs or all(len(r) == 0 for r in refs):
+        raise ValueError("at least one nonempty reference is required")
+    if not candidate:
+        return 0.0
+
+    c = len(candidate)
+    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
+
+    log_sum = 0.0
+    orders = 0
+    for n in range(1, max_order + 1):
+        cand_counts = _reference_ngram_counts(candidate, n)
+        if not cand_counts:
+            continue
+        max_ref: Counter = Counter()
+        for ref in refs:
+            for gram, cnt in _reference_ngram_counts(ref, n).items():
+                if cnt > max_ref[gram]:
+                    max_ref[gram] = cnt
+        clipped = sum(min(cnt, max_ref[gram]) for gram, cnt in cand_counts.items())
+        total = sum(cand_counts.values())
+        if clipped == 0:
+            return 0.0
+        log_sum += math.log(clipped / total)
+        orders += 1
+    if orders == 0:
+        return 0.0
+
+    geo = math.exp(log_sum / orders)
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return bp * geo
 
 
 # -- random generators ---------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -332,6 +334,73 @@ def test_token_bucket_validation():
         TokenBucket(0)
 
 
+class BoundedClock(FakeClock):
+    """A FakeClock whose sleep raises after ``limit`` calls, so an acquire
+    that keeps sleeping fails the test instead of hanging it."""
+
+    def __init__(self, start: float, limit: int):
+        super().__init__()
+        self.t = start
+        self.limit = limit
+        self.sleeps = 0
+
+    def sleep(self, dt: float):
+        self.sleeps += 1
+        if self.sleeps > self.limit:
+            raise RuntimeError(f"acquire slept more than {self.limit} times")
+        super().sleep(dt)
+
+
+@pytest.mark.parametrize("start", [0.0, 0.1, 3.7, 1234.5678, 1e6 + 0.3])
+@pytest.mark.parametrize("rate", [600.0, 60.0, 7.0, 1000.0])
+def test_token_bucket_finishes_on_exact_fake_clock(start, rate):
+    # Exact fake-clock arithmetic once made a refill round to just under
+    # one token, after which acquire slept sub-ulp waits forever.
+    n = 1000
+    clock = BoundedClock(start, limit=n)
+    bucket = TokenBucket(rate, _Clock(clock.monotonic, clock.sleep))
+    for _ in range(n):
+        bucket.acquire()
+    assert clock.sleeps == n - 1
+    assert clock.t - start == pytest.approx((n - 1) * 60.0 / rate, abs=1e-6)
+
+
+def test_token_bucket_gives_each_thread_its_own_slot():
+    # Time stands still, so every acquire after the first sleeps until the
+    # slot it claimed; a lost update would hand two threads the same slot.
+    threads, per_thread = 8, 200
+    waits, lock = [], threading.Lock()
+
+    def sleep(dt):
+        with lock:
+            if len(waits) >= threads * per_thread:
+                raise RuntimeError("acquire kept sleeping")
+            waits.append(dt)
+
+    bucket = TokenBucket(600.0, _Clock(lambda: 0.0, sleep))
+
+    def work():
+        for _ in range(per_thread):
+            bucket.acquire()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, daemon=True) for _ in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in pool)
+    want, due = [], 0.0
+    for _ in range(threads * per_thread - 1):
+        due += bucket.interval
+        want.append(due)
+    assert sorted(waits) == want
+
+
 # -- http transport ----------------------------------------------------------
 
 class FakeResponse:
@@ -369,12 +438,36 @@ def test_http_transport_attaches_credential(monkeypatch):
 
 def test_http_transport_errors(monkeypatch):
     cfg = ProviderConfig(endpoint="https://example.test/v1", credential_env="PK_NOPE")
-    with pytest.raises(TransportError, match="HTTP 500"):
+    with pytest.raises(TransportError, match="HTTP 500") as exc:
         HttpTransport(cfg, session=FakeSession([FakeResponse(500, {})])).send({})
+    assert exc.value.retryable
+    with pytest.raises(TransportError, match="HTTP 401") as exc:
+        HttpTransport(cfg, session=FakeSession([FakeResponse(401, {})])).send({})
+    assert not exc.value.retryable
     with pytest.raises(TransportError, match="non-JSON"):
         HttpTransport(cfg, session=FakeSession([FakeResponse(200, ValueError("x"))])).send({})
-    with pytest.raises(TransportError, match="request failed"):
+    with pytest.raises(TransportError, match="request failed") as exc:
         HttpTransport(cfg, session=FakeSession([ConnectionError()])).send({})
+    assert exc.value.retryable
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([400, 401, 403, 404, 408, 429, 500, 503]) | st.integers(400, 599),
+       st.integers(0, 4))
+def test_http_error_statuses_retry_only_when_transient(status, retries):
+    # Timeouts (408), rate limiting (429) and 5xx can pass; any other 4xx
+    # ends the instance after one wire attempt.
+    cfg = ProviderConfig(endpoint="https://example.test/v1", credential_env="PK_NOPE",
+                         max_transport_retries=retries)
+    session = FakeSession([FakeResponse(status, {})] * (retries + 1))
+    clock = FakeClock()
+    out = caption_instance(inst(), cfg, HttpTransport(cfg, session=session),
+                           clock=_Clock(clock.monotonic, clock.sleep))
+    transient = status >= 500 or status in (408, 429)
+    want = retries + 1 if transient else 1
+    assert out.status == STATUS_TRANSPORT_ERROR
+    assert out.attempts == len(session.calls) == want
+    assert (clock.t > 0) == (transient and retries > 0)
 
 
 def test_credential_never_leaks(monkeypatch, tmp_path, caplog):

@@ -1,19 +1,28 @@
 import json
 import os
+import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from persuasionkit import textmetrics
 from persuasionkit.cli import main
 from persuasionkit.corpus import load_captions, load_predictions
 
 from mocks import ScriptedTransport, ok_response, refusal_response
+from oracles import reference_bleu4, reference_lcs_len
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "data", "fixtures")
 MALFORMED = os.path.join(HERE, "data", "malformed")
+SYNTHETIC = os.path.join(HERE, "..", "data", "synthetic")
+SYNTHETIC_H = os.path.join(SYNTHETIC, "hierarchy.txt")
+PROMPT_PRIMARY = os.path.join(HERE, "data", "prompt_primary_HELLO.txt")
+PROMPT_FALLBACK = os.path.join(HERE, "data", "prompt_fallback.txt")
 
 WORKED_H = os.path.join(FIXTURES, "worked_hierarchy.txt")
 WORKED_GOLD = os.path.join(FIXTURES, "worked_gold.json")
@@ -453,6 +462,85 @@ def test_caption_eval_misaligned_files(tmp_path, capsys):
     rc = main(["caption-eval", "--candidates", cand, "--references", ref])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _caption_pairs(path, seed=7, pairs=40):
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(60)] + [",", ".", "!"]
+    cands, refs = [], []
+    for _ in range(pairs):
+        ref = rng.choices(vocab, k=rng.randint(1, 200))
+        cand = [rng.choice(vocab) if rng.random() < 0.3 else w for w in ref
+                if rng.random() > 0.05]
+        refs.append(" ".join(ref))
+        cands.append(" ".join(cand))
+    return (write(path / "cand.txt", "\n".join(cands) + "\n"),
+            write(path / "ref.txt", "\n".join(refs) + "\n"))
+
+
+@pytest.mark.parametrize("inputs", ["generated", "shipped"])
+def test_caption_eval_report_equals_reference_kernels(tmp_path, capsys, monkeypatch, inputs):
+    # The bit-parallel LCS and zip-counted BLEU must give the very bytes
+    # the quadratic reference functions give.
+    if inputs == "generated":
+        cand, ref = _caption_pairs(tmp_path)
+    else:
+        cand, ref = PROMPT_PRIMARY, PROMPT_FALLBACK
+    fast = str(tmp_path / "fast.json")
+    assert main(["caption-eval", "--candidates", cand, "--references", ref, "--out", fast]) == 0
+    fast_table = capsys.readouterr().out
+
+    calls = []
+
+    def lcs(a, b):
+        calls.append("lcs")
+        return reference_lcs_len(a, b)
+
+    def bleu(candidate, references):
+        calls.append("bleu")
+        return reference_bleu4(candidate, references)
+
+    monkeypatch.setattr(textmetrics, "_lcs_len", lcs)
+    monkeypatch.setattr(textmetrics, "bleu4", bleu)
+    slow = str(tmp_path / "slow.json")
+    assert main(["caption-eval", "--candidates", cand, "--references", ref, "--out", slow]) == 0
+    n_pairs = read_json(slow)["n_pairs"]
+    assert calls.count("bleu") == n_pairs and calls.count("lcs") >= 1
+    assert capsys.readouterr().out == fast_table
+    assert Path(fast).read_bytes() == Path(slow).read_bytes()
+
+
+def test_commands_that_do_not_train_never_load_scipy(tmp_path):
+    # Only train and predict need scipy; every other command must run
+    # without importing it.
+    gold = os.path.join(SYNTHETIC, "heldout.json")
+    pred = write(tmp_path / "pred.json", json.dumps(
+        [{"id": r["id"], "labels": r["labels"][:1]} for r in read_json(gold)]))
+    commands = [
+        ["validate", "--hierarchy", WORKED_H, "--gold", WORKED_GOLD, "--pred", WORKED_PRED],
+        ["score", "--task", "hier", "--hierarchy", SYNTHETIC_H, "--gold", gold,
+         "--pred", pred, "--bootstrap", "5", "--seed", "0",
+         "--out", str(tmp_path / "hier.json")],
+        ["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED,
+         "--out", str(tmp_path / "binary.json")],
+        ["caption-eval", "--candidates", PROMPT_PRIMARY, "--references", PROMPT_FALLBACK,
+         "--out", str(tmp_path / "eval.json")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from persuasionkit.cli import main\n"
+        "rcs = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'rcs': rcs, 'scipy': loaded}))\n"
+    )
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"rcs": [0] * len(commands), "scipy": []}
 
 
 # -- misc ------------------------------------------------------------------------

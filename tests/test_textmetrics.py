@@ -2,16 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from persuasionkit.textmetrics import (
+    _lcs_len,
     bleu4,
     rouge_l,
     score_caption_pairs,
     tokenize,
 )
 
-from oracles import brute_lcs
+from oracles import brute_lcs, reference_bleu4, reference_lcs_len
 
 
 def test_tokenize():
@@ -161,3 +162,70 @@ def test_score_caption_pairs_errors():
         score_caption_pairs([], [])
     with pytest.raises(ValueError, match="pair 1"):
         score_caption_pairs(["a", "b"], ["a", "   "])
+
+
+# -- the fast kernels return exactly what the quadratic references return -------
+
+@st.composite
+def token_pairs(draw):
+    """Two token lists of 0-300 tokens over 1-6 symbols.
+
+    Lengths are drawn first so the bit masks often cross the 64- and
+    128-bit boundaries; the second list is either independent or an
+    edited copy of the first, which keeps the LCS long.
+    """
+    symbols = st.sampled_from("abcdef"[: draw(st.integers(1, 6))])
+    a = draw(st.lists(symbols, min_size=(n := draw(st.integers(0, 300))), max_size=n))
+    if draw(st.booleans()):
+        b = draw(st.lists(symbols, min_size=(m := draw(st.integers(0, 300))), max_size=m))
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+        b = [x for x, k in zip(a, keep) if k] + draw(st.lists(symbols, max_size=80))
+    return a, b
+
+
+@settings(max_examples=80)
+@given(token_pairs())
+def test_lcs_len_equals_reference(pair):
+    a, b = pair
+    want = reference_lcs_len(a, b)
+    assert _lcs_len(a, b) == want
+    assert _lcs_len(b, a) == want
+
+
+@settings(max_examples=40)
+@given(token_pairs())
+def test_lcs_len_equals_full_table(pair):
+    a, b = pair
+    assert _lcs_len(a, b) == brute_lcs(a, b)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 300])
+def test_lcs_len_at_word_boundaries(n):
+    rng = random.Random(n)
+    a = [rng.choice("ab") for _ in range(n)]
+    for b in (a, a[::-1], ["a"] * n, [rng.choice("abc") for _ in range(n + 1)]):
+        assert _lcs_len(a, b) == _lcs_len(b, a) == reference_lcs_len(a, b)
+
+
+@st.composite
+def bleu_cases(draw):
+    """A candidate and 1-3 references of 0-20 tokens, some empty or
+    shorter than the highest order."""
+    tokens = st.lists(st.sampled_from("abcde"[: draw(st.integers(1, 5))]), max_size=20)
+    cand = draw(tokens)
+    refs = draw(st.lists(tokens, min_size=1, max_size=3))
+    return cand, refs, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200)
+@given(bleu_cases())
+def test_bleu4_equals_reference(case):
+    cand, refs, max_order = case
+    try:
+        want = reference_bleu4(cand, refs, max_order)
+    except ValueError:
+        with pytest.raises(ValueError, match="reference"):
+            bleu4(cand, refs, max_order)
+        return
+    assert bleu4(cand, refs, max_order) == want
