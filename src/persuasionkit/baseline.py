@@ -12,10 +12,10 @@ commands that never touch a model do not pay for loading it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
+import math
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
@@ -90,12 +90,17 @@ class TrainConfig:
             raise ValueError("bad training hyperparameters")
 
 
-# About 20 MB when full; a corpus with more distinct n-grams keeps its
-# most recent ones cached.
+# One memo per (dimension, tag), from a raw n-gram to its bucket and sign;
+# the tag names the n-gram's namespace, kind and order ("w2:", "C|c4:").
+# A memo is a pure cache of _hash_feature, so sharing it across callers
+# changes no result.  A memo that reaches _HASH_MEMO_SIZE entries is
+# cleared, so memory stays bounded on corpora with more distinct n-grams:
+# about 12 MB per full memo, and the default orders in text+caption mode
+# use 10 memos per dimension.
 _HASH_MEMO_SIZE = 2**16
+_hash_memos: dict[tuple[int, str], dict[str, tuple[int, float]]] = {}
 
 
-@functools.lru_cache(maxsize=_HASH_MEMO_SIZE)
 def _hash_feature(feature: str, dim: int) -> tuple[int, float]:
     # Stable across processes and platforms, unlike builtin hash().
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
@@ -104,36 +109,59 @@ def _hash_feature(feature: str, dim: int) -> tuple[int, float]:
     return v % dim, sign
 
 
+def _add_grams(vec: dict[int, float], grams: list[str], tag: str, dim: int):
+    memo = _hash_memos.get((dim, tag))
+    if memo is None:
+        memo = _hash_memos[dim, tag] = {}
+    for gram in grams:
+        hashed = memo.get(gram)
+        if hashed is None:
+            if len(memo) >= _HASH_MEMO_SIZE:
+                memo.clear()
+            hashed = memo[gram] = _hash_feature(tag + gram, dim)
+        idx, sign = hashed
+        vec[idx] = vec.get(idx, 0.0) + sign
+
+
 def _accumulate(vec: dict[int, float], text: str, prefix: str, cfg: FeatureConfig):
     tokens = tokenize(text)
     for n in cfg.word_orders:
-        for i in range(len(tokens) - n + 1):
-            idx, sign = _hash_feature(
-                f"{prefix}w{n}:" + " ".join(tokens[i : i + n]), cfg.dimension
-            )
-            vec[idx] = vec.get(idx, 0.0) + sign
+        grams = tokens if n == 1 else [
+            " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+        _add_grams(vec, grams, f"{prefix}w{n}:", cfg.dimension)
     chars = " ".join(text.lower().split())
     for n in cfg.char_orders:
-        for i in range(len(chars) - n + 1):
-            idx, sign = _hash_feature(f"{prefix}c{n}:" + chars[i : i + n], cfg.dimension)
-            vec[idx] = vec.get(idx, 0.0) + sign
+        _add_grams(vec, [chars[i : i + n] for i in range(len(chars) - n + 1)],
+                   f"{prefix}c{n}:", cfg.dimension)
 
 
 def featurize(text: str, caption: str | None, cfg: FeatureConfig) -> dict[int, float]:
     """Signed hashed n-gram counts, L2-normalized; bucket index -> value.
 
-    In text+caption mode a missing caption degrades to text-only features.
-    Empty input yields the zero vector (an empty dict).
+    Every word n-gram of :func:`tokenize`'s tokens (orders
+    ``cfg.word_orders``) and every character n-gram of the lowercased text
+    with whitespace collapsed to single spaces (orders ``cfg.char_orders``)
+    is hashed, with a tag naming its kind and order (``w2:``, ``c4:``), by
+    BLAKE2b to one of ``cfg.dimension`` buckets and a sign of +1 or -1
+    (Weinberger et al. 2009).  A bucket's value is the sum of the signs of
+    the n-grams that land in it, so the counts are exact small integers and
+    colliding n-grams may cancel.
+
+    In text+caption mode the caption's n-grams carry an extra ``C|``
+    namespace prefix, so a caption token hashes independently of the same
+    meme-text token; a missing caption degrades to text-only features.
+
+    Buckets whose count cancels to zero are dropped, and the rest are
+    divided by the vector's L2 norm.  Keys appear in the order in which
+    their first n-gram occurs (word orders, then character orders; text,
+    then caption).  Empty input yields the zero vector (an empty dict).
     """
     vec: dict[int, float] = {}
     _accumulate(vec, text, "", cfg)
     if cfg.mode == MODE_TEXT_CAPTION and caption is not None:
         _accumulate(vec, caption, "C|", cfg)
-    vec = {i: v for i, v in vec.items() if v != 0.0}
-    norm = np.sqrt(sum(v * v for v in vec.values()))
-    if norm > 0:
-        vec = {i: v / norm for i, v in vec.items()}
-    return vec
+    norm = math.sqrt(sum(v * v for v in vec.values()))
+    return {i: v / norm for i, v in vec.items() if v}
 
 
 @dataclass(frozen=True)
@@ -148,6 +176,21 @@ class HierModel:
     weights: np.ndarray = field(compare=False)  # (dimension, n_labels)
     bias: np.ndarray = field(compare=False)  # (n_labels,)
     thresholds: np.ndarray = field(compare=False)  # (n_labels,), each in (0, 1)
+
+
+def _zero_weights(dimension: int, n_labels: int) -> np.ndarray:
+    """The dense ``(dimension, n_labels)`` weight matrix, all zeros.
+
+    Raises ValueError naming the dimension when the matrix cannot be
+    allocated, instead of numpy's MemoryError.
+    """
+    try:
+        return np.zeros((dimension, n_labels), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"feature dimension {dimension} is too large: its ({dimension}, {n_labels}) "
+            "weight matrix cannot be allocated"
+        ) from None
 
 
 def loss_and_grad(
@@ -224,6 +267,7 @@ def train(
             raise ValueError(f"instance {inst.id!r} has no gold labels")
 
     labels = h.labels
+    W = _zero_weights(fcfg.dimension, len(labels))
     X = _design_matrix(corpus, fcfg)
     n = len(corpus)
     Y = h.closed_rows(inst.gold for inst in corpus).astype(np.float64)
@@ -234,7 +278,6 @@ def train(
         if not ok:
             logger.warning("label %r has no positive examples; head is always-negative", lab)
 
-    W = np.zeros((fcfg.dimension, len(labels)), dtype=np.float64)
     B = np.zeros(len(labels), dtype=np.float64)
     B[~trainable] = _NEGATIVE_BIAS
 
@@ -275,38 +318,59 @@ def _check_hierarchy(model: HierModel, h: LabelHierarchy):
         )
 
 
-def _scores_for(model: HierModel, inst: MemeInstance) -> np.ndarray:
+def _score_matrix(model: HierModel, corpus: Sequence[MemeInstance]) -> np.ndarray:
+    """Sigmoid scores, one row per instance and one column per head.
+
+    ``expit(X @ W + b)`` with ``X`` the corpus's design matrix: scipy's
+    CSR product adds each row's terms one after another in ascending
+    column order, with no BLAS call, so the scores do not depend on the
+    CPU's BLAS kernel or on how many instances are scored together.
+    """
     from scipy.special import expit
 
-    vec = featurize(inst.text, inst.caption, model.feature_config)
-    if not vec:
-        return expit(model.bias.copy())
-    idx = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
-    val = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
-    return expit(val @ model.weights[idx] + model.bias)
+    X = _design_matrix(corpus, model.feature_config)
+    return expit(X @ model.weights + model.bias)
+
+
+def _head_closure(model: HierModel, h: LabelHierarchy) -> np.ndarray:
+    # Row j: the closed label set, over h.labels, that a positive head j
+    # contributes.
+    return h.closed_rows([label] for label in model.labels)
+
+
+def _predicted_sets(
+    model: HierModel, h: LabelHierarchy, corpus: Sequence[MemeInstance]
+) -> list[frozenset[str]]:
+    closed = (_score_matrix(model, corpus) > model.thresholds) @ _head_closure(model, h)
+    labels = np.array(h.labels, dtype=object)
+    return [frozenset(labels[row]) for row in closed]
 
 
 def predict(model: HierModel, h: LabelHierarchy, inst: MemeInstance) -> frozenset[str]:
     """Labels whose sigmoid score clears their threshold, ancestor-closed.
 
+    The score of head ``j`` is ``expit(sum_i x_i * W[i, j] + b[j])`` over
+    the instance's :func:`featurize` vector, summed in ascending bucket
+    order; a head is positive when its score is strictly above its
+    threshold.  The positive heads' labels are closed upward over ``h``.
+    The instance is scored as a one-row batch of :func:`predict_corpus`,
+    so both give the same set bit for bit.
+
     May be empty.  Refuses a hierarchy whose fingerprint differs from the
     one the model was trained against.
     """
     _check_hierarchy(model, h)
-    return _predict_checked(model, h, inst)
-
-
-def _predict_checked(model: HierModel, h: LabelHierarchy, inst: MemeInstance) -> frozenset[str]:
-    scores = _scores_for(model, inst)
-    chosen = [lab for lab, s, t in zip(model.labels, scores, model.thresholds) if s > t]
-    return h.extend(chosen)
+    return _predicted_sets(model, h, [inst])[0]
 
 
 def predict_corpus(
     model: HierModel, h: LabelHierarchy, corpus: Iterable[MemeInstance]
 ) -> dict[str, frozenset[str]]:
+    """:func:`predict` for every instance, keyed by id, scored in one batch."""
     _check_hierarchy(model, h)
-    return {inst.id: _predict_checked(model, h, inst) for inst in corpus}
+    corpus = list(corpus)
+    return {inst.id: labels
+            for inst, labels in zip(corpus, _predicted_sets(model, h, corpus))}
 
 
 THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))  # 0.05 .. 0.95
@@ -332,10 +396,9 @@ def tune_thresholds(
         if inst.gold is None:
             raise ValueError(f"dev instance {inst.id!r} has no gold labels")
 
-    S = np.vstack([_scores_for(model, inst) for inst in dev_corpus])
+    S = _score_matrix(model, dev_corpus)
     G = h.closed_rows(inst.gold for inst in dev_corpus)
-    # Row j: the closed set a positive head j contributes, over h.labels.
-    C = h.closed_rows([label] for label in model.labels)
+    C = _head_closure(model, h)
     gold_total = int(G.sum())
 
     def hf1(thresholds: np.ndarray) -> float:
@@ -399,8 +462,9 @@ def load_model(data: bytes) -> HierModel:
     """Inverse of save_model; validates kind, format version and structure.
 
     Raises ValueError naming the problem for a file that is not a model,
-    lacks a key, or whose weights, bias or thresholds disagree in shape
-    with its labels and feature dimension.
+    lacks a key, whose weights, bias or thresholds disagree in shape
+    with its labels and feature dimension, or whose dimension is too
+    large for its weight matrix to be allocated.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
@@ -451,7 +515,7 @@ def load_model(data: bytes) -> HierModel:
             raise ValueError(f"model file: weight row {i} must hold {n} numbers, one per label")
     if len(set(rows)) != len(rows):
         raise ValueError("model file: weight_rows repeats an index")
-    W = np.zeros((cfg.dimension, n), dtype=np.float64)
+    W = _zero_weights(cfg.dimension, n)
     try:
         W[rows] = np.asarray(weights, dtype=np.float64).reshape(len(rows), n)
     except (TypeError, ValueError) as exc:

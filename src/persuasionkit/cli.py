@@ -332,8 +332,6 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
         counts[o.status] = counts.get(o.status, 0) + 1
     for status in sorted(counts):
         print(f"{status}: {counts[status]}")
-    if args.captions_out:
-        _write(args.captions_out, write_captions(checkpoint_to_captions(outcomes)))
     config = {
         "endpoint": endpoint,
         "model": cfg.model,
@@ -343,6 +341,9 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
         "seed": seed,
         "force": args.force,
     }
+    if args.captions_out:
+        _emit(args.captions_out, write_captions(checkpoint_to_captions(outcomes)),
+              "caption", config, [args.corpus])
     # The checkpoint is appended to as outcomes arrive; only its manifest
     # is written here.
     if os.path.exists(args.out):

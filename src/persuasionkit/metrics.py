@@ -283,6 +283,28 @@ def flat_binary_score(
     return binary_from_totals(binary_tallies(gold, pred).sum(axis=0))
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, q)`` for sorted, NaN-free ``ordered``.
+
+    numpy's default "linear" method, operation for operation, so the
+    result is the same float; computed here because ``np.percentile``
+    imports ``numpy.ma`` on first use.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        # numpy takes the last value for both neighbours, as index -1,
+        # and measures the weight from that index.
+        lo = hi = -1
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+    t = virtual - lo
+    a, b = float(ordered[lo]), float(ordered[hi])
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def bootstrap_ci(
     statistic: Callable[[np.ndarray], float],
     tallies: np.ndarray,
@@ -316,12 +338,12 @@ def bootstrap_ci(
         idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
         stats[i] = statistic(np.bincount(idx, minlength=n) @ tallies)
 
-    alpha = (1.0 - confidence) / 2.0
-    lower, upper = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
-    lower = min(float(lower), point)
-    upper = max(float(upper), point)
-    if math.isnan(lower) or math.isnan(upper):
+    stats.sort()
+    if math.isnan(stats[-1]):  # NaN sorts last
         raise ValueError("score function produced NaN during resampling")
+    alpha = (1.0 - confidence) / 2.0
+    lower = min(_percentile(stats, 100.0 * alpha), point)
+    upper = max(_percentile(stats, 100.0 * (1.0 - alpha)), point)
     return BootstrapInterval(
         point=point,
         lower=lower,

@@ -8,6 +8,7 @@ LCS by the full quadratic table.  Slow is fine; different is the point.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -185,6 +186,81 @@ def dense_descent(X, Y: np.ndarray, epochs: int, learning_rate: float, l2: float
     return W, B
 
 
+# -- features and scores -------------------------------------------------------
+
+def _reference_hash_feature(feature: str, dim: int) -> tuple[int, float]:
+    v = int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(),
+                       "little")
+    return v % dim, (1.0 if v & (1 << 63) else -1.0)
+
+
+def _reference_accumulate(vec: dict, text: str, prefix: str, cfg):
+    from persuasionkit.textmetrics import tokenize
+
+    tokens = tokenize(text)
+    for n in cfg.word_orders:
+        for i in range(len(tokens) - n + 1):
+            idx, sign = _reference_hash_feature(
+                f"{prefix}w{n}:" + " ".join(tokens[i : i + n]), cfg.dimension
+            )
+            vec[idx] = vec.get(idx, 0.0) + sign
+    chars = " ".join(text.lower().split())
+    for n in cfg.char_orders:
+        for i in range(len(chars) - n + 1):
+            idx, sign = _reference_hash_feature(f"{prefix}c{n}:" + chars[i : i + n],
+                                                cfg.dimension)
+            vec[idx] = vec.get(idx, 0.0) + sign
+
+
+def reference_featurize(text: str, caption, cfg) -> dict:
+    """Reference featurizer: one uncached hash and one ``+= sign`` per
+    n-gram occurrence, then the zero buckets dropped and an L2 norm by
+    ``np.sqrt``."""
+    vec: dict = {}
+    _reference_accumulate(vec, text, "", cfg)
+    if cfg.mode == "text+caption" and caption is not None:
+        _reference_accumulate(vec, caption, "C|", cfg)
+    vec = {i: v for i, v in vec.items() if v != 0.0}
+    norm = np.sqrt(sum(v * v for v in vec.values()))
+    if norm > 0:
+        vec = {i: v / norm for i, v in vec.items()}
+    return vec
+
+
+def reference_scores(model, corpus) -> np.ndarray:
+    """Scores with no BLAS call: per instance and head, a plain float sum
+    of ``x_i * W[i, j]`` from 0.0, left to right in ascending bucket
+    order, then ``+ b[j]``, then ``expit``."""
+    from persuasionkit.baseline import featurize
+
+    Z = []
+    for inst in corpus:
+        vec = featurize(inst.text, inst.caption, model.feature_config)
+        cols = sorted(vec)
+        rows = model.weights[cols].tolist()
+        Z.append([])
+        for j, b in enumerate(model.bias.tolist()):
+            z = 0.0
+            for i, w in zip(cols, rows):
+                z += vec[i] * w[j]
+            Z[-1].append(z + b)
+    return expit(np.array(Z, dtype=np.float64).reshape(len(Z), len(model.labels)))
+
+
+def reference_instance_scores(model, inst) -> np.ndarray:
+    """Scores as the package computed them before the batched scorer: one
+    instance at a time, ``val @ W[idx]`` in feature-dict order through
+    BLAS, so the rounding depends on the BLAS kernel."""
+    from persuasionkit.baseline import featurize
+
+    vec = featurize(inst.text, inst.caption, model.feature_config)
+    if not vec:
+        return expit(model.bias.copy())
+    idx = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
+    val = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
+    return expit(val @ model.weights[idx] + model.bias)
+
+
 # -- threshold tuning ----------------------------------------------------------
 
 def reference_tune_thresholds(model, dev_corpus, h, max_passes: int = 2):
@@ -192,12 +268,12 @@ def reference_tune_thresholds(model, dev_corpus, h, max_passes: int = 2):
     re-closes every dev prediction with ``extend`` and rescores the dev
     corpus with ``hierarchical_score`` over id-keyed maps.
 
-    It shares the package's per-document scores and its scorer (itself
-    checked against ``brute_hier_score``), not its tuning arithmetic.
+    It shares the package's batched scores and its scorer (itself checked
+    against ``brute_hier_score``), not its tuning arithmetic.
     """
     from dataclasses import replace
 
-    from persuasionkit.baseline import THRESHOLD_GRID, _check_hierarchy, _scores_for
+    from persuasionkit.baseline import THRESHOLD_GRID, _check_hierarchy, _score_matrix
     from persuasionkit.metrics import hierarchical_score
 
     _check_hierarchy(model, h)
@@ -207,7 +283,7 @@ def reference_tune_thresholds(model, dev_corpus, h, max_passes: int = 2):
         if inst.gold is None:
             raise ValueError(f"dev instance {inst.id!r} has no gold labels")
 
-    S = np.vstack([_scores_for(model, inst) for inst in dev_corpus])
+    S = _score_matrix(model, dev_corpus)
     gold = {inst.id: inst.gold for inst in dev_corpus}
     ids = [inst.id for inst in dev_corpus]
 

@@ -2,11 +2,15 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
+from scipy.special import expit
 
 from persuasionkit import baseline
 from persuasionkit.baseline import (
@@ -29,7 +33,14 @@ from persuasionkit.corpus import MemeInstance
 from persuasionkit.hierarchy import parse_hierarchy
 from persuasionkit.metrics import hierarchical_score
 
-from oracles import dense_descent, fd_gradient, reference_tune_thresholds
+from oracles import (
+    dense_descent,
+    fd_gradient,
+    reference_featurize,
+    reference_instance_scores,
+    reference_scores,
+    reference_tune_thresholds,
+)
 
 H = parse_hierarchy(
     "persuasion\nEthos\tpersuasion\nPathos\tpersuasion\nNameCalling\tEthos\n"
@@ -80,6 +91,9 @@ def test_missing_caption_degrades_to_text_only():
 
 
 def test_hash_memo_is_keyed_on_dimension(monkeypatch):
+    # One n-gram hashed at two dimensions must not share a memo entry: the
+    # memoised results at 2^8, 2^16 and again 2^8 equal uncached ones.
+    monkeypatch.setattr(baseline, "_hash_memos", {})
     text = "Memo keys: one n-gram, two dimensions, then the first again."
     dims = (2**8, 2**16, 2**8)
     cached = [featurize(text, None, FeatureConfig(dimension=d)) for d in dims]
@@ -87,10 +101,62 @@ def test_hash_memo_is_keyed_on_dimension(monkeypatch):
         v = int.from_bytes(
             hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(), "little"
         )
+        tag, gram = feature.split(":", 1)
         for d in dims:
-            assert baseline._hash_feature(feature, d) == (v % d, 1.0 if v >> 63 else -1.0)
-    monkeypatch.setattr(baseline, "_hash_feature", baseline._hash_feature.__wrapped__)
-    assert cached == [featurize(text, None, FeatureConfig(dimension=d)) for d in dims]
+            want = (v % d, 1.0 if v >> 63 else -1.0)
+            assert baseline._hash_feature(feature, d) == want
+            assert baseline._hash_memos[d, tag + ":"][gram] == want
+    assert sorted({d for d, _ in baseline._hash_memos}) == [2**8, 2**16]
+    assert cached == [reference_featurize(text, None, FeatureConfig(dimension=d))
+                      for d in dims]
+
+
+def test_hash_memo_is_bounded(monkeypatch):
+    # A memo that fills up is cleared, so none holds more than
+    # _HASH_MEMO_SIZE entries, and the features do not change.
+    monkeypatch.setattr(baseline, "_hash_memos", {})
+    monkeypatch.setattr(baseline, "_HASH_MEMO_SIZE", 5)
+    cfg = FeatureConfig(dimension=2**10, mode=MODE_TEXT_CAPTION)
+    texts = ["the quick brown fox jumps over the lazy dog", "a naïve café, twice: café",
+             "the quick brown fox", ""]
+    for text in texts + texts[::-1]:
+        got = featurize(text, text[::-1], cfg)
+        assert list(got.items()) == list(reference_featurize(text, text[::-1], cfg).items())
+        assert all(0 < len(m) <= 5 for m in baseline._hash_memos.values())
+
+
+def test_cancelled_buckets_are_dropped():
+    cfg = FeatureConfig(dimension=4, word_orders=(1,), char_orders=())
+    assert featurize("duty calm", None, cfg) == {}
+    assert featurize("duty fear calm naive buy", None, cfg) == {3: -1.0}
+
+
+_ORDERS = st.lists(st.integers(1, 6), min_size=0, max_size=3, unique=True).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.text(max_size=60),
+    caption=st.none() | st.text(max_size=40),
+    mode=st.sampled_from((MODE_TEXT, MODE_TEXT_CAPTION)),
+    log_dim=st.integers(2, 12),
+    word_orders=st.one_of(st.just((1, 2)), _ORDERS),
+    char_orders=st.one_of(st.just((3, 4, 5)), _ORDERS),
+)
+# At 2^2, "duty"/"calm" and "fear"/"naive" share a bucket with opposite signs.
+@example(text="duty calm", caption=None, mode=MODE_TEXT, log_dim=2,
+         word_orders=(1,), char_orders=())
+@example(text="duty fear buy", caption="calm naive", mode=MODE_TEXT_CAPTION, log_dim=2,
+         word_orders=(1,), char_orders=())
+@example(text="duty fear calm naive buy duty", caption=None, mode=MODE_TEXT, log_dim=2,
+         word_orders=(1,), char_orders=())
+def test_featurize_equals_reference(text, caption, mode, log_dim, word_orders, char_orders):
+    cfg = FeatureConfig(dimension=2**log_dim, word_orders=word_orders,
+                        char_orders=char_orders, mode=mode)
+    got = featurize(text, caption, cfg)
+    want = reference_featurize(text, caption, cfg)
+    # The same dict: keys, values and key order.
+    assert list(got.items()) == list(want.items())
 
 
 def test_feature_config_validation():
@@ -291,6 +357,133 @@ def test_tuning_matches_reference_tuner(case):
     got = tune_thresholds(model, dev, h, max_passes=passes)
     want = reference_tune_thresholds(model, dev, h, max_passes=passes)
     assert np.array_equal(got.thresholds, want.thresholds)
+
+
+# -- the batched scorer ----------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(_tuning_cases())
+def test_scores_equal_blas_free_reference(case):
+    h, model, dev, _ = case
+    # No tolerance: the CSR product adds each row's terms in the order the
+    # plain-Python reference does.
+    assert np.array_equal(baseline._score_matrix(model, dev), reference_scores(model, dev))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tuning_cases())
+def test_scores_within_stated_tolerance_of_per_instance_path(case):
+    # The per-instance BLAS path summed the same products in another order
+    # (or with FMA).  Either sum of k products is within about k * 2^-53 *
+    # sum|x_i w_i| of the exact one; adding b, expit (slope <= 1/4) and its
+    # rounding keep the gap within (k + 4) * 2^-52 * (sum|x_i w_i| + |b| + 1).
+    h, model, dev, _ = case
+    new = baseline._score_matrix(model, dev)
+    for row, inst in zip(new, dev):
+        vec = featurize(inst.text, inst.caption, model.feature_config)
+        idx = list(vec)
+        mass = np.abs(list(vec.values())) @ np.abs(model.weights[idx]) if idx else 0.0
+        bound = (len(idx) + 4) * 2.0**-52 * (mass + np.abs(model.bias) + 1.0)
+        assert np.all(np.abs(reference_instance_scores(model, inst) - row) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tuning_cases())
+def test_predict_is_a_one_row_batch(case):
+    h, model, dev, _ = case
+    batch = predict_corpus(model, h, dev)
+    scores = reference_scores(model, dev)
+    for inst, row in zip(dev, scores):
+        want = h.extend(lab for lab, s, t in zip(model.labels, row, model.thresholds) if s > t)
+        assert predict(model, h, inst) == batch[inst.id] == want
+
+
+def _dict_order_score(model, inst, j):
+    # The sum in feature-dict order, as the per-instance path took it.
+    z = 0.0
+    for i, x in featurize(inst.text, inst.caption, model.feature_config).items():
+        z += x * float(model.weights[i, j])
+    return float(expit(np.array([z + model.bias[j]]))[0])
+
+
+def test_near_tie_is_decided_by_the_batched_score():
+    # A head whose ascending-order sum plus bias is exactly 0 scores exactly
+    # 0.5, which is not above a 0.5 threshold; summed in feature-dict order
+    # the same products give a score above 0.5.  Prediction and tuning must
+    # both follow the batched score.
+    cfg = FeatureConfig(dimension=2**10)
+    inst = doc("tie", "trust honor duty, buy fear: calm plain prose", {"Ethos"})
+    vec = featurize(inst.text, None, cfg)
+    assert list(vec) != sorted(vec)
+    j = H.labels.index("Ethos")
+    W = np.zeros((cfg.dimension, len(H.labels)))
+    W[list(vec), j] = np.random.default_rng(0).normal(0.0, 1000.0, len(vec))
+    z = 0.0
+    for i in sorted(vec):
+        z += vec[i] * W[i, j]
+    bias = np.full(len(H.labels), -50.0)
+    bias[j] = -z
+    model = HierModel(labels=H.labels, feature_config=cfg,
+                      hierarchy_fingerprint=H.fingerprint(), seed=0, weights=W,
+                      bias=bias, thresholds=np.full(len(H.labels), 0.5))
+    assert _dict_order_score(model, inst, j) > 0.5
+
+    assert baseline._score_matrix(model, [inst])[0, j] == 0.5
+    assert reference_scores(model, [inst])[0, j] == 0.5
+    assert predict(model, H, inst) == frozenset()
+    assert predict_corpus(model, H, [inst]) == {"tie": frozenset()}
+    below = model.thresholds.copy()
+    below[j] = np.nextafter(0.5, 0.0)
+    assert predict(replace(model, thresholds=below), H, inst) == frozenset({"Ethos"})
+    # Gold is {Ethos}: at 0.5 the head is negative, so the tuner lowers its
+    # threshold to the first grid value; dict-order scores would have left it.
+    tuned = tune_thresholds(model, [inst], H)
+    assert tuned.thresholds[j] == THRESHOLD_GRID[0]
+    assert np.array_equal(tuned.thresholds,
+                          reference_tune_thresholds(model, [inst], H).thresholds)
+
+
+_KERNEL_SCRIPT = """
+import hashlib, json, sys
+from persuasionkit import baseline
+from persuasionkit.corpus import load_corpus, write_predictions
+from persuasionkit.hierarchy import parse_hierarchy
+
+d = sys.argv[1]
+read = lambda name: open(f"{d}/{name}", encoding="utf-8").read()
+h = parse_hierarchy(read("hierarchy.txt"))
+train = load_corpus(read("train.json"), hierarchy=h)
+dev = load_corpus(read("heldout.json"), hierarchy=h)
+model = baseline.train(train, h, baseline.FeatureConfig(dimension=2**16), seed=0)
+tuned = baseline.tune_thresholds(model, dev, h)
+digest = lambda b: hashlib.sha256(b).hexdigest()
+print(json.dumps({
+    "scores": digest(baseline._score_matrix(model, dev + train).tobytes()),
+    "model": digest(baseline.save_model(tuned)),
+    "predictions": digest(write_predictions(
+        baseline.predict_corpus(tuned, h, dev)).encode("utf-8")),
+}))
+"""
+
+
+def test_scores_model_and_predictions_do_not_depend_on_blas_kernel():
+    # OPENBLAS_CORETYPE picks numpy's OpenBLAS kernel at start-up; the
+    # scores, the tuned model and its predictions must not change with it.
+    data = os.path.join(os.path.dirname(__file__), "..", "data", "synthetic")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    results = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT, data],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert results[0] == results[1]
+    assert results[0]["model"] == (
+        "c7bb85e32af53d97e4e4b2c735986ef75cf35dcc3c1ccd0bcc64aea4ead0e834")
 
 
 def test_tuning_validates_inputs():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -303,6 +304,40 @@ def test_predict_incomplete_model_file_is_validation_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+HUGE_DIM = 2**50  # a power of two whose weight matrix exceeds the address space
+
+
+def test_predict_huge_model_dimension_is_validation_error(tmp_path, capsys):
+    corpus = _write_mem_corpus(tmp_path)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--hierarchy", WORKED_H, "--corpus", corpus,
+                 "--dim", "1024", "--epochs", "5", "--out", model]) == 0
+    payload = read_json(model)
+    payload["feature_config"]["dimension"] = HUGE_DIM
+    huge = write(tmp_path / "huge.json", json.dumps(payload))
+    out = str(tmp_path / "p.json")
+    capsys.readouterr()
+    rc = main(["predict", "--model", huge, "--hierarchy", WORKED_H,
+               "--corpus", corpus, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: feature dimension {HUGE_DIM} is too large")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_train_huge_dimension_is_validation_error(tmp_path, capsys):
+    corpus = _write_mem_corpus(tmp_path)
+    out = str(tmp_path / "model.json")
+    rc = main(["train", "--hierarchy", WORKED_H, "--corpus", corpus,
+               "--dim", str(HUGE_DIM), "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: feature dimension {HUGE_DIM} is too large")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_predict_counts_caption_less_instances(tmp_path, caplog):
     labeled = [dict(rec, caption=f"caption {rec['id']}", caption_source="manual")
                for rec in MEM_CORPUS]
@@ -543,6 +578,34 @@ def test_commands_that_do_not_train_never_load_scipy(tmp_path):
     assert result == {"rcs": [0] * len(commands), "scipy": []}
 
 
+def test_bootstrap_never_loads_numpy_ma(tmp_path):
+    # The interval's percentiles come from the sorted statistics, so
+    # score --bootstrap does not pay for importing numpy.ma (np.percentile
+    # would import it); numpy.random, which draws the resamples, stays.
+    gold = os.path.join(SYNTHETIC, "heldout.json")
+    pred = write(tmp_path / "pred.json", json.dumps(
+        [{"id": r["id"], "labels": r["labels"][:1]} for r in read_json(gold)]))
+    argv = ["score", "--task", "hier", "--hierarchy", SYNTHETIC_H, "--gold", gold,
+            "--pred", pred, "--bootstrap", "5", "--seed", "0",
+            "--out", str(tmp_path / "hier.json")]
+    script = (
+        "import json, sys\n"
+        "from persuasionkit.cli import main\n"
+        "rc = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps({'rc': rc, 'ma': 'numpy.ma' in sys.modules,\n"
+        "                  'random': 'numpy.random' in sys.modules}))\n"
+    )
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"rc": 0, "ma": False, "random": True}
+    assert set(read_json(str(tmp_path / "hier.json"))["bootstrap"]) == {"h_f_beta"}
+
+
 # -- misc ------------------------------------------------------------------------
 
 def test_version_flag():
@@ -620,6 +683,22 @@ def test_report_and_manifest_key_sets(tmp_path):
     assert set(rep) == {"n_pairs", "rouge_l", "bleu_4"}
     assert set(rep["rouge_l"]) == {"precision", "recall", "f1"}
     assert man["config"] == {}
+
+    captioned = write(tmp_path / "captioned.json", json.dumps(CAPTION_CORPUS))
+    ck, caps = str(tmp_path / "ck.jsonl"), str(tmp_path / "captions.json")
+    transport = ScriptedTransport([ok_response("one"), ok_response("two")])
+    assert main(["caption", "--corpus", captioned, "--out", ck, "--captions-out", caps],
+                transport=transport) == 0
+    caption_config = {"endpoint", "model", "credential_env", "rate_limit", "jobs", "seed",
+                      "force"}
+    for out in (ck, caps):
+        man = read_json(out + ".manifest.json")
+        assert set(man) == manifest_keys
+        assert set(man["config"]) == caption_config
+        assert man["inputs"] == {captioned: "sha256:" + hashlib.sha256(
+            Path(captioned).read_bytes()).hexdigest()}
+        assert man["outputs"] == {out: "sha256:" + hashlib.sha256(
+            Path(out).read_bytes()).hexdigest()}
 
 
 @pytest.mark.parametrize("command", ["score", "train"])

@@ -18,6 +18,7 @@ from persuasionkit.metrics import (
     hierarchical_tallies,
     per_class_hierarchical_diagnostics,
 )
+from persuasionkit.metrics import _percentile
 
 from oracles import (
     brute_binary_prf,
@@ -281,6 +282,34 @@ def test_bootstrap_interval_brackets_point(worked):
         gold, pred = random_label_maps(rng, labels, rng.randint(2, 40), density=0.5)
         ci = _hier_ci(worked, gold, pred, resamples=100, seed=rng.randint(0, 999))
         assert 0.0 <= ci.lower <= ci.point <= ci.upper <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(0.0, 1.0), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+        min_size=1, max_size=200),
+    confidence=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.sampled_from((0.5, 0.9, 0.95, 0.99))),
+)
+@example(values=[0.5], confidence=0.95)  # one value: both bounds clamp to it
+@example(values=[0.0, 1.0], confidence=0.0001)
+def test_percentile_equals_numpy(values, confidence):
+    # bootstrap_ci's bounds, from the sorted statistics, must be the very
+    # floats np.percentile's linear method gives.
+    alpha = (1.0 - confidence) / 2.0
+    qs = [100.0 * alpha, 100.0 * (1.0 - alpha)]
+    ordered = np.sort(np.array(values, dtype=np.float64))
+    got = [_percentile(ordered, q) for q in qs]
+    assert got == np.percentile(np.array(values, dtype=np.float64), qs).tolist()
+
+
+def test_bootstrap_nan_statistic_is_refused(worked):
+    gold = {"a": {"Pathos"}, "b": {"Ethos"}}
+    with pytest.raises(ValueError, match="NaN"):
+        bootstrap_ci(lambda totals: float("nan") if totals[0] != 1 else 0.5,
+                     hierarchical_tallies(worked, gold, gold), resamples=20, seed=0)
 
 
 def _hierarchies():
