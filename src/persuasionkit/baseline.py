@@ -56,6 +56,14 @@ _NEGATIVE_BIAS = -50.0
 _FORMAT_VERSION = 1
 _MODEL_KIND = "persuasionkit-linear-hier"
 
+# The largest power of two whose bucket indices, and a sparse matrix with
+# that many columns, fit a signed 64-bit integer.
+_MAX_DIMENSION = 2**62
+
+# Instances featurized and scored together: bounds scoring memory, and
+# cannot change a score, since each row is scored on its own.
+_SCORE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -75,6 +83,11 @@ class FeatureConfig:
     def __post_init__(self):
         if self.dimension <= 0 or self.dimension & (self.dimension - 1):
             raise ValueError("dimension must be a positive power of two")
+        if self.dimension > _MAX_DIMENSION:
+            raise ValueError(
+                f"feature dimension {self.dimension} is too large: bucket indices must "
+                "fit a signed 64-bit integer, so it may be at most 2**62"
+            )
         if self.mode not in (MODE_TEXT, MODE_TEXT_CAPTION):
             raise ValueError(f"mode must be {MODE_TEXT!r} or {MODE_TEXT_CAPTION!r}")
 
@@ -167,15 +180,32 @@ def featurize(text: str, caption: str | None, cfg: FeatureConfig) -> dict[int, f
 @dataclass(frozen=True)
 class HierModel:
     """Per-label linear scorers plus the bookkeeping needed to refuse
-    mismatched feature spaces or hierarchies at predict time."""
+    mismatched feature spaces or hierarchies at predict time.
+
+    Only the weight rows the model uses are held: row ``r`` of
+    ``row_weights`` is bucket ``weight_rows[r]``'s weight per head, and
+    every other bucket's weights are zero.  So memory grows with the
+    number of n-gram buckets seen in training, not with
+    ``feature_config.dimension``.  ``weights`` is the dense matrix, built
+    from the rows on each access; the package itself never reads it.
+    """
 
     labels: tuple[str, ...]
     feature_config: FeatureConfig
     hierarchy_fingerprint: str
     seed: int
-    weights: np.ndarray = field(compare=False)  # (dimension, n_labels)
+    weight_rows: np.ndarray = field(compare=False)  # (R,) int64 buckets, ascending
+    row_weights: np.ndarray = field(compare=False)  # (R, n_labels)
     bias: np.ndarray = field(compare=False)  # (n_labels,)
     thresholds: np.ndarray = field(compare=False)  # (n_labels,), each in (0, 1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense ``(dimension, n_labels)`` weight matrix, built anew on
+        each access; raises ValueError when it cannot be allocated."""
+        W = _zero_weights(self.feature_config.dimension, len(self.labels))
+        W[self.weight_rows] = self.row_weights
+        return W
 
 
 def _zero_weights(dimension: int, n_labels: int) -> np.ndarray:
@@ -243,6 +273,28 @@ def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sp
     return X
 
 
+def _onto_rows(X: "sparse.csr_array", rows: np.ndarray) -> "sparse.csr_array":
+    """``X``'s columns renumbered onto the ascending bucket indices
+    ``rows``, with the columns not in ``rows`` dropped.
+
+    Each row keeps its ascending column order, so ``_onto_rows(X, rows) @
+    row_weights`` adds the same products in the same order as ``X @ W``
+    for the dense ``W`` that is zero off ``rows``, less the dropped terms.
+    Each of those is ``x * 0.0``, a signed zero, and adding a signed zero
+    to the CSR product's running sum, which starts at +0.0, never changes
+    it: the two products are equal bit for bit.
+    """
+    from scipy import sparse
+
+    pos = np.searchsorted(rows, X.indices)
+    keep = np.searchsorted(rows, X.indices, side="right") > pos
+    data, indptr = X.data, X.indptr
+    if not keep.all():
+        data, pos = data[keep], pos[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    return sparse.csr_array((data, pos, indptr), shape=(X.shape[0], rows.size))
+
+
 def train(
     corpus: Sequence[MemeInstance],
     h: LabelHierarchy,
@@ -254,7 +306,8 @@ def train(
 
     Labels with zero positive examples are not descended at all: they get
     zero weights and a strongly negative bias (always-negative head) and a
-    warning.  Thresholds start at 0.5.
+    warning.  Thresholds start at 0.5.  The model holds one weight row per
+    bucket some training document uses.
     """
     from scipy.special import expit
 
@@ -267,7 +320,6 @@ def train(
             raise ValueError(f"instance {inst.id!r} has no gold labels")
 
     labels = h.labels
-    W = _zero_weights(fcfg.dimension, len(labels))
     X = _design_matrix(corpus, fcfg)
     n = len(corpus)
     Y = h.closed_rows(inst.gold for inst in corpus).astype(np.float64)
@@ -281,12 +333,14 @@ def train(
     B = np.zeros(len(labels), dtype=np.float64)
     B[~trainable] = _NEGATIVE_BIAS
 
+    # A column no document touches starts at 0 and the L2 update keeps it
+    # there, so the model is exact on the used columns alone.
+    used = np.unique(X.indices).astype(np.int64)
+    W = np.zeros((used.size, len(labels)), dtype=np.float64)
     active = np.flatnonzero(trainable)
     if active.size:
-        # A column no document touches starts at 0 and the L2 update keeps
-        # it there, so descending on the used columns alone is exact.
-        used = np.unique(X.indices)
-        Xu = X[:, used]
+        Xu = _onto_rows(X, used)
+        del X
         Wa = np.zeros((used.size, active.size), dtype=np.float64)
         Ba = np.zeros(active.size, dtype=np.float64)
         Ya = Y[:, active]
@@ -296,7 +350,7 @@ def train(
             E = (P - Ya) / n
             Wa -= tcfg.learning_rate * (XT @ E + tcfg.l2 * Wa)
             Ba -= tcfg.learning_rate * E.sum(axis=0)
-        W[np.ix_(used, active)] = Wa
+        W[:, active] = Wa
         B[active] = Ba
 
     return HierModel(
@@ -304,7 +358,8 @@ def train(
         feature_config=fcfg,
         hierarchy_fingerprint=h.fingerprint(),
         seed=seed,
-        weights=W,
+        weight_rows=used,
+        row_weights=W,
         bias=B,
         thresholds=np.full(len(labels), 0.5, dtype=np.float64),
     )
@@ -324,12 +379,18 @@ def _score_matrix(model: HierModel, corpus: Sequence[MemeInstance]) -> np.ndarra
     ``expit(X @ W + b)`` with ``X`` the corpus's design matrix: scipy's
     CSR product adds each row's terms one after another in ascending
     column order, with no BLAS call, so the scores do not depend on the
-    CPU's BLAS kernel or on how many instances are scored together.
+    CPU's BLAS kernel or on how many instances are scored together.  It
+    is computed as ``_onto_rows(X, weight_rows) @ row_weights``, which is
+    equal bit for bit, over blocks of at most ``_SCORE_BLOCK`` instances.
     """
     from scipy.special import expit
 
-    X = _design_matrix(corpus, model.feature_config)
-    return expit(X @ model.weights + model.bias)
+    S = np.empty((len(corpus), len(model.labels)), dtype=np.float64)
+    for start in range(0, len(corpus), _SCORE_BLOCK):
+        block = corpus[start : start + _SCORE_BLOCK]
+        X = _onto_rows(_design_matrix(block, model.feature_config), model.weight_rows)
+        S[start : start + len(block)] = expit(X @ model.row_weights + model.bias)
+    return S
 
 
 def _head_closure(model: HierModel, h: LabelHierarchy) -> np.ndarray:
@@ -431,7 +492,7 @@ def tune_thresholds(
 
 def save_model(model: HierModel) -> bytes:
     """Canonical JSON bytes; float values round-trip exactly."""
-    nz = np.flatnonzero(np.any(model.weights != 0.0, axis=1))
+    nz = np.flatnonzero(np.any(model.row_weights != 0.0, axis=1))
     payload = {
         "kind": _MODEL_KIND,
         "format_version": _FORMAT_VERSION,
@@ -446,8 +507,8 @@ def save_model(model: HierModel) -> bytes:
         "seed": model.seed,
         "bias": [float(v) for v in model.bias],
         "thresholds": [float(v) for v in model.thresholds],
-        "weight_rows": [int(i) for i in nz],
-        "weights": [[float(v) for v in model.weights[i]] for i in nz],
+        "weight_rows": model.weight_rows[nz].tolist(),
+        "weights": model.row_weights[nz].tolist(),
     }
     return (json.dumps(payload, ensure_ascii=False, sort_keys=True,
                        separators=(",", ":")) + "\n").encode("utf-8")
@@ -463,8 +524,8 @@ def load_model(data: bytes) -> HierModel:
 
     Raises ValueError naming the problem for a file that is not a model,
     lacks a key, whose weights, bias or thresholds disagree in shape
-    with its labels and feature dimension, or whose dimension is too
-    large for its weight matrix to be allocated.
+    with its labels and feature dimension, or whose dimension is not a
+    power of two or is above 2**62.  The rows may come in any order.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
@@ -484,17 +545,15 @@ def load_model(data: bytes) -> HierModel:
     if missing:
         raise ValueError(f"model file is missing {', '.join(missing)}")
     try:
-        cfg = FeatureConfig(
-            dimension=int(fc["dimension"]),
-            word_orders=tuple(fc["word_orders"]),
-            char_orders=tuple(fc["char_orders"]),
-            mode=fc["mode"],
-        )
+        dimension = int(fc["dimension"])
+        word_orders, char_orders = tuple(fc["word_orders"]), tuple(fc["char_orders"])
         seed = int(payload["seed"])
         bias = np.asarray(payload["bias"], dtype=np.float64)
         thresholds = np.asarray(payload["thresholds"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file: {exc}") from None
+    # Its own message names a bad dimension or mode.
+    cfg = FeatureConfig(dimension, word_orders, char_orders, fc["mode"])
     labels = payload["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("model file: labels must be a list of strings")
@@ -515,17 +574,19 @@ def load_model(data: bytes) -> HierModel:
             raise ValueError(f"model file: weight row {i} must hold {n} numbers, one per label")
     if len(set(rows)) != len(rows):
         raise ValueError("model file: weight_rows repeats an index")
-    W = _zero_weights(cfg.dimension, n)
     try:
-        W[rows] = np.asarray(weights, dtype=np.float64).reshape(len(rows), n)
+        W = np.asarray(weights, dtype=np.float64).reshape(len(rows), n)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file: {exc}") from None
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows)
     return HierModel(
         labels=tuple(labels),
         feature_config=cfg,
         hierarchy_fingerprint=payload["hierarchy_fingerprint"],
         seed=seed,
-        weights=W,
+        weight_rows=rows[order],
+        row_weights=W[order],
         bias=bias,
         thresholds=thresholds,
     )

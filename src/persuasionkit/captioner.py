@@ -342,10 +342,16 @@ def _send_with_retries(
     cfg: ProviderConfig,
     clock: _Clock,
     rng: random.Random,
+    bucket: TokenBucket | None = None,
 ) -> tuple[dict | None, int]:
-    """Returns (response or None, wire attempts used)."""
+    """Returns (response or None, wire attempts used).
+
+    Every attempt, a retry included, first takes a token from ``bucket``.
+    """
     attempts = 0
     for trial in range(cfg.max_transport_retries + 1):
+        if bucket is not None:
+            bucket.acquire()
         try:
             attempts += 1
             return transport.send(body), attempts
@@ -365,11 +371,13 @@ def caption_instance(
     transport,
     clock: _Clock | None = None,
     rng: random.Random | None = None,
+    bucket: TokenBucket | None = None,
 ) -> CaptionOutcome:
     """Run the two-prompt protocol for one instance.
 
     Requires an image reference.  The caption is logged (not truncated)
-    if it exceeds the template word budget.
+    if it exceeds the template word budget.  Each wire request, on either
+    prompt and on every retry, first takes a token from ``bucket``.
     """
     if not inst.image:
         raise ValueError(f"instance {inst.id!r} has no image reference")
@@ -382,7 +390,7 @@ def caption_instance(
     ):
         prompt = render_prompt(template, inst.text)
         body = build_request(cfg, prompt, inst.image)
-        resp, used = _send_with_retries(transport, body, cfg, clock, rng)
+        resp, used = _send_with_retries(transport, body, cfg, clock, rng, bucket)
         attempts += used
         if resp is None:
             return CaptionOutcome(inst.id, STATUS_TRANSPORT_ERROR, None, attempts, cfg.model)
@@ -532,10 +540,9 @@ def caption_corpus(
     ckpt_fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
 
     def work(inst: MemeInstance) -> CaptionOutcome:
-        if bucket is not None:
-            bucket.acquire()
         outcome = caption_instance(
-            inst, cfg, transport, clock=clock, rng=random.Random(f"{seed}:{inst.id}")
+            inst, cfg, transport, clock=clock, rng=random.Random(f"{seed}:{inst.id}"),
+            bucket=bucket,
         )
         with write_lock:
             if ckpt_fh is not None:

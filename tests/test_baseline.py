@@ -339,7 +339,8 @@ def _tuning_cases(draw):
         feature_config=FeatureConfig(dimension=dim),
         hierarchy_fingerprint=h.fingerprint(),
         seed=0,
-        weights=rng.normal(0.0, draw(st.sampled_from((0.5, 2.0, 8.0))), (dim, n_labels)),
+        weight_rows=np.arange(dim, dtype=np.int64),
+        row_weights=rng.normal(0.0, draw(st.sampled_from((0.5, 2.0, 8.0))), (dim, n_labels)),
         bias=rng.normal(0.0, 1.0, n_labels),
         thresholds=np.array(draw(st.lists(st.sampled_from(THRESHOLD_GRID),
                                           min_size=n_labels, max_size=n_labels))),
@@ -398,6 +399,61 @@ def test_predict_is_a_one_row_batch(case):
         assert predict(model, h, inst) == batch[inst.id] == want
 
 
+@st.composite
+def _sparse_row_cases(draw):
+    cfg = FeatureConfig(dimension=2 ** draw(st.integers(4, 8)))
+    text = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)  # "" is a zero row
+    corpus = [doc(f"s{i}", draw(text)) for i in range(draw(st.integers(1, 8)))]
+    seen = {i for inst in corpus for i in featurize(inst.text, None, cfg)}
+    kind = draw(st.sampled_from(("subset", "unseen", "none")))
+    if kind == "subset":
+        rows = sorted(draw(st.sets(st.integers(0, cfg.dimension - 1))))
+    else:  # no instance has a model column, or the model has no rows
+        rows = [i for i in range(cfg.dimension) if i not in seen] if kind == "unseen" else []
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.normal(0.0, 4.0, (len(rows), len(H.labels)))
+    # Some rows all zero, of either sign: kept in memory, not in the file.
+    zero = rng.random(len(rows)) < 0.3
+    W[zero] = np.copysign(0.0, rng.normal(size=(int(zero.sum()), len(H.labels))))
+    model = HierModel(labels=H.labels, feature_config=cfg,
+                      hierarchy_fingerprint=H.fingerprint(), seed=0,
+                      weight_rows=np.array(rows, dtype=np.int64), row_weights=W,
+                      bias=rng.normal(0.0, 1.0, len(H.labels)),
+                      thresholds=np.full(len(H.labels), 0.5))
+    return model, corpus, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_row_cases())
+def test_sparse_rows_score_like_the_dense_matrix(case):
+    # Dropping the columns the model lacks drops only x * 0.0 terms, which
+    # leave the CSR product's running sum unchanged: no tolerance.
+    model, corpus, rng = case
+    X = baseline._design_matrix(corpus, model.feature_config)
+    want = expit(X @ model.weights + model.bias)
+    assert np.array_equal(baseline._score_matrix(model, corpus), want)
+    payload = json.loads(save_model(model))
+    perm = rng.permutation(len(payload["weight_rows"]))
+    for key in ("weight_rows", "weights"):
+        payload[key] = [payload[key][k] for k in perm]
+    back = load_model(json.dumps(payload).encode())
+    assert np.all(np.diff(back.weight_rows) > 0)
+    assert np.array_equal(baseline._score_matrix(back, corpus), want)
+    assert save_model(back) == save_model(model)
+
+
+def test_block_scoring_equals_one_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    model = train(_noisy_corpus(rng, 30, "t"), H, FeatureConfig(dimension=2**10),
+                  TrainConfig(epochs=50))
+    test = _noisy_corpus(rng, 10, "x") + [doc("empty", "")]
+    whole = baseline._score_matrix(model, test)
+    preds = predict_corpus(model, H, test)
+    monkeypatch.setattr(baseline, "_SCORE_BLOCK", 3)
+    assert np.array_equal(baseline._score_matrix(model, test), whole)
+    assert predict_corpus(model, H, test) == preds
+
+
 def _dict_order_score(model, inst, j):
     # The sum in feature-dict order, as the per-instance path took it.
     z = 0.0
@@ -416,15 +472,18 @@ def test_near_tie_is_decided_by_the_batched_score():
     vec = featurize(inst.text, None, cfg)
     assert list(vec) != sorted(vec)
     j = H.labels.index("Ethos")
-    W = np.zeros((cfg.dimension, len(H.labels)))
-    W[list(vec), j] = np.random.default_rng(0).normal(0.0, 1000.0, len(vec))
+    w = dict(zip(vec, np.random.default_rng(0).normal(0.0, 1000.0, len(vec))))
+    rows = np.array(sorted(vec), dtype=np.int64)
+    W = np.zeros((rows.size, len(H.labels)))
+    W[:, j] = [w[i] for i in rows]
     z = 0.0
     for i in sorted(vec):
-        z += vec[i] * W[i, j]
+        z += vec[i] * w[i]
     bias = np.full(len(H.labels), -50.0)
     bias[j] = -z
     model = HierModel(labels=H.labels, feature_config=cfg,
-                      hierarchy_fingerprint=H.fingerprint(), seed=0, weights=W,
+                      hierarchy_fingerprint=H.fingerprint(), seed=0,
+                      weight_rows=rows, row_weights=W,
                       bias=bias, thresholds=np.full(len(H.labels), 0.5))
     assert _dict_order_score(model, inst, j) > 0.5
 

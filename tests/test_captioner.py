@@ -319,6 +319,38 @@ def test_rate_limit_schedule():
     assert clock.t >= 9.0
 
 
+class _TimedTransport(ScriptedTransport):
+    """A ScriptedTransport that notes the fake time of every request."""
+
+    def __init__(self, clock: FakeClock, script):
+        super().__init__(script)
+        self.clock = clock
+        self.times: list[float] = []
+
+    def send(self, body: dict) -> dict:
+        self.times.append(self.clock.t)
+        return super().send(body)
+
+
+_STEPS = {"ok": ok_response("a caption"), "refusal": refusal_response(), "error": "error"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=st.lists(st.sampled_from(sorted(_STEPS)), max_size=30),
+       n=st.integers(1, 6), rate=st.sampled_from((15.0, 60.0, 100.0, 600.0)))
+def test_rate_limit_spaces_every_wire_request(script, n, rate):
+    # The fallback prompt and every transport retry take a token too, so
+    # no two wire requests are closer than 60 / rate seconds.
+    clock = FakeClock()
+    t = _TimedTransport(clock, [_STEPS[step] for step in script])
+    corpus = [inst(f"i{k}", f"t{k}", f"https://img.test/{k}.png") for k in range(n)]
+    caption_corpus(corpus, CFG, t, rate_per_minute=rate,
+                   clock=_Clock(clock.monotonic, clock.sleep))
+    interval = 60.0 / rate
+    # Fake sleeps add rounded differences, so allow a relative 1e-9.
+    assert all(b - a >= interval * (1 - 1e-9) for a, b in zip(t.times, t.times[1:]))
+
+
 def test_concurrent_run_completes():
     corpus = [inst(f"i{k}", f"t{k}", f"https://img.test/{k}.png") for k in range(8)]
     out = caption_corpus(

@@ -304,7 +304,7 @@ def test_predict_incomplete_model_file_is_validation_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-HUGE_DIM = 2**50  # a power of two whose weight matrix exceeds the address space
+HUGE_DIM = 2**63  # a power of two whose bucket indices overflow int64
 
 
 def test_predict_huge_model_dimension_is_validation_error(tmp_path, capsys):
@@ -336,6 +336,64 @@ def test_train_huge_dimension_is_validation_error(tmp_path, capsys):
     assert err.startswith(f"error: feature dimension {HUGE_DIM} is too large")
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_train_and_predict_at_a_dimension_of_2_to_the_50(tmp_path):
+    # The model holds only its used rows, so a dimension far beyond what a
+    # dense weight matrix could use trains and predicts.
+    corpus = _write_mem_corpus(tmp_path)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--hierarchy", WORKED_H, "--corpus", corpus,
+                 "--dim", str(2**50), "--epochs", "500", "--out", model]) == 0
+    assert read_json(model)["feature_config"]["dimension"] == 2**50
+    preds_path = str(tmp_path / "preds.json")
+    assert main(["predict", "--model", model, "--hierarchy", WORKED_H,
+                 "--corpus", corpus, "--out", preds_path]) == 0
+    preds = load_predictions(read_text(preds_path))
+    assert preds["d1"] == frozenset({"NameCalling", "Ethos"})
+    assert preds["d4"] == frozenset()
+
+
+@pytest.mark.parametrize("dim,tuned,sha256", [
+    (2**16, False, "25a7308561448d7ce93e9e2c6f9df3897748018210632eb74bf79bf2a70412c1"),
+    (2**18, False, "9873b7d8af10fbc56527efc1b8c41362f3df9c47379234203ab33f381e74e3a3"),
+    (2**16, True, "c7bb85e32af53d97e4e4b2c735986ef75cf35dcc3c1ccd0bcc64aea4ead0e834"),
+    (2**18, True, "047fdc6c93b79f4ffdba3e4e3e37661ce500456623b6c9448e1dab78f640cb2f"),
+])
+def test_shipped_corpus_model_bytes_are_pinned(tmp_path, dim, tuned, sha256):
+    model = str(tmp_path / "model.json")
+    tune = ["--tune-dev", os.path.join(SYNTHETIC, "heldout.json")] if tuned else []
+    assert main(["train", "--hierarchy", SYNTHETIC_H,
+                 "--corpus", os.path.join(SYNTHETIC, "train.json"), "--seed", "0",
+                 "--dim", str(dim), *tune, "--out", model]) == 0
+    assert hashlib.sha256(Path(model).read_bytes()).hexdigest() == sha256
+
+
+_MAXRSS_SCRIPT = """
+import resource, sys
+from persuasionkit.cli import main
+rc = main(sys.argv[1:])
+print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_train_memory_does_not_grow_with_dimension(tmp_path):
+    # Peak resident memory of a fresh train process on the shipped corpus:
+    # a 2^30-bucket feature space costs what a 2^16 one does.
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    peaks = {}
+    for dim in (2**16, 2**30):
+        argv = ["train", "--hierarchy", SYNTHETIC_H,
+                "--corpus", os.path.join(SYNTHETIC, "train.json"),
+                "--dim", str(dim), "--out", str(tmp_path / f"model{dim}.json")]
+        proc = subprocess.run([sys.executable, "-c", _MAXRSS_SCRIPT, *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rc, peaks[dim] = map(int, proc.stdout.split()[-2:])
+        assert rc == 0, proc.stderr
+    assert abs(peaks[2**30] - peaks[2**16]) <= 0.1 * peaks[2**16], peaks
 
 
 def test_predict_counts_caption_less_instances(tmp_path, caplog):
