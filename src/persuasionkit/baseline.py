@@ -223,6 +223,22 @@ def _zero_weights(dimension: int, n_labels: int) -> np.ndarray:
         ) from None
 
 
+def _gradient(
+    X: "sparse.csr_array | np.ndarray", Y: np.ndarray, W: np.ndarray, B: np.ndarray, l2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dloss/dW, dloss/dB)`` of :func:`loss_and_grad`'s objective for
+    the heads in the columns of ``Y``, ``W`` and ``B``.
+
+    For a CSR ``X``, ``X.T`` is a CSC view sharing its arrays, and each
+    column of ``X.T @ E`` adds its terms in ascending instance order, as
+    a product with a CSR copy of the transpose does.
+    """
+    from scipy.special import expit
+
+    E = (expit(X @ W + B) - Y) / X.shape[0]
+    return X.T @ E + l2 * W, E.sum(axis=0)
+
+
 def loss_and_grad(
     X: "sparse.csr_array | np.ndarray",
     y: np.ndarray,
@@ -232,22 +248,17 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic loss with L2 penalty on the weights (not the bias).
 
-    Returns (loss, dloss/dw, dloss/db).  This is the exact objective the
-    trainer descends, exposed so the gradients can be checked numerically.
+    Returns (loss, dloss/dw, dloss/db).  The gradient is the one ``train``
+    descends, for a single head, so checking it numerically checks the
+    trainer's own code.
     """
-    from scipy.special import expit
-
-    n = X.shape[0]
     z = X @ w + b
-    p = expit(z)
     # log-loss via logaddexp for stability: log(1 + e^-z) etc.
     loss = float(
         np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(w @ w)
     )
-    err = (p - y) / n
-    grad_w = X.T @ err + l2 * w
-    grad_b = float(err.sum())
-    return loss, np.asarray(grad_w).ravel(), grad_b
+    grad_w, grad_b = _gradient(X, y[:, None], w[:, None], np.array([b]), l2)
+    return loss, grad_w.ravel(), float(grad_b[0])
 
 
 def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sparse.csr_array":
@@ -295,6 +306,17 @@ def _onto_rows(X: "sparse.csr_array", rows: np.ndarray) -> "sparse.csr_array":
     return sparse.csr_array((data, pos, indptr), shape=(X.shape[0], rows.size))
 
 
+def _gold_rows(corpus: Sequence[MemeInstance], h: LabelHierarchy, what: str) -> np.ndarray:
+    """The corpus's closed gold sets as ``h.closed_rows``; raises ValueError
+    for an empty corpus or an instance without gold labels."""
+    if not corpus:
+        raise ValueError(f"{what} corpus is empty")
+    for inst in corpus:
+        if inst.gold is None:
+            raise ValueError(f"{what} instance {inst.id!r} has no gold labels")
+    return h.closed_rows(inst.gold for inst in corpus)
+
+
 def train(
     corpus: Sequence[MemeInstance],
     h: LabelHierarchy,
@@ -309,20 +331,11 @@ def train(
     warning.  Thresholds start at 0.5.  The model holds one weight row per
     bucket some training document uses.
     """
-    from scipy.special import expit
-
     fcfg = feature_config or FeatureConfig()
     tcfg = train_config or TrainConfig()
-    if not corpus:
-        raise ValueError("training corpus is empty")
-    for inst in corpus:
-        if inst.gold is None:
-            raise ValueError(f"instance {inst.id!r} has no gold labels")
-
+    Y = _gold_rows(corpus, h, "training").astype(np.float64)
     labels = h.labels
     X = _design_matrix(corpus, fcfg)
-    n = len(corpus)
-    Y = h.closed_rows(inst.gold for inst in corpus).astype(np.float64)
 
     positives = Y.sum(axis=0)
     trainable = positives > 0
@@ -344,12 +357,10 @@ def train(
         Wa = np.zeros((used.size, active.size), dtype=np.float64)
         Ba = np.zeros(active.size, dtype=np.float64)
         Ya = Y[:, active]
-        XT = Xu.T.tocsr()
         for _ in range(tcfg.epochs):
-            P = expit(Xu @ Wa + Ba)
-            E = (P - Ya) / n
-            Wa -= tcfg.learning_rate * (XT @ E + tcfg.l2 * Wa)
-            Ba -= tcfg.learning_rate * E.sum(axis=0)
+            gW, gB = _gradient(Xu, Ya, Wa, Ba, tcfg.l2)
+            Wa -= tcfg.learning_rate * gW
+            Ba -= tcfg.learning_rate * gB
         W[:, active] = Wa
         B[active] = Ba
 
@@ -435,30 +446,24 @@ def predict_corpus(
 
 
 THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))  # 0.05 .. 0.95
+_MAX_PASSES = 2
 
 
 def tune_thresholds(
     model: HierModel,
     dev_corpus: Sequence[MemeInstance],
     h: LabelHierarchy,
-    max_passes: int = 2,
 ) -> HierModel:
     """Coordinate-ascent threshold tuning on dev HF1.
 
     Sweeps labels in lexicographic order over THRESHOLD_GRID, keeping a
     new threshold only when corpus HF1 strictly improves; at most
-    ``max_passes`` full passes, stopping early at a fixed point.  Dev HF1
+    ``_MAX_PASSES`` full passes, stopping early at a fixed point.  Dev HF1
     never decreases, and rerunning on the result is a no-op.
     """
     _check_hierarchy(model, h)
-    if not dev_corpus:
-        raise ValueError("dev corpus is empty")
-    for inst in dev_corpus:
-        if inst.gold is None:
-            raise ValueError(f"dev instance {inst.id!r} has no gold labels")
-
+    G = _gold_rows(dev_corpus, h, "dev")
     S = _score_matrix(model, dev_corpus)
-    G = h.closed_rows(inst.gold for inst in dev_corpus)
     C = _head_closure(model, h)
     gold_total = int(G.sum())
 
@@ -468,7 +473,7 @@ def tune_thresholds(
 
     t = model.thresholds.copy()
     best = hf1(t)
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         improved = False
         for j in range(len(model.labels)):
             original = t[j]

@@ -145,7 +145,6 @@ class ProviderConfig:
     model: str = "gpt-4-vision-preview"
     credential_env: str = "PERSUASIONKIT_API_KEY"
     max_tokens: int = 300
-    temperature: float | None = None
     timeout: float = 60.0
     max_transport_retries: int = 3
     backoff_base: float = 1.0
@@ -192,7 +191,7 @@ def _image_part(image_ref: str) -> dict:
 
 def build_request(cfg: ProviderConfig, prompt: str, image_ref: str) -> dict:
     """Chat-completions request body: one user turn, text part then image part."""
-    body: dict = {
+    return {
         "model": cfg.model,
         "messages": [
             {
@@ -205,9 +204,6 @@ def build_request(cfg: ProviderConfig, prompt: str, image_ref: str) -> dict:
         ],
         "max_tokens": cfg.max_tokens,
     }
-    if cfg.temperature is not None:
-        body["temperature"] = cfg.temperature
-    return body
 
 
 class HttpTransport:

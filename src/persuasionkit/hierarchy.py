@@ -50,7 +50,6 @@ class LabelHierarchy:
     root: str
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]  # (child, parent)
-    _parents: dict[str, frozenset[str]] = field(compare=False, repr=False)
     _ancestors: dict[str, frozenset[str]] = field(compare=False, repr=False)
     labels: tuple[str, ...] = field(compare=False, repr=False)
     closure: np.ndarray = field(compare=False, repr=False)  # (L, L) bool, read-only
@@ -124,7 +123,6 @@ class LabelHierarchy:
             root=root,
             nodes=frozenset(nodes),
             edges=frozenset(edge_list),
-            _parents={n: frozenset(parents[n]) for n in nodes},
             _ancestors=ancestors,
             labels=labels,
             closure=closure,
@@ -137,12 +135,6 @@ class LabelHierarchy:
         """Strict ancestors of ``label``, root excluded."""
         try:
             return self._ancestors[label]
-        except KeyError:
-            raise UnknownLabelError(f"unknown label {label!r}") from None
-
-    def parents(self, label: str) -> frozenset[str]:
-        try:
-            return self._parents[label]
         except KeyError:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,6 +191,33 @@ def test_gradients_match_finite_differences():
         assert np.linalg.norm(got - num) / denom < 1e-5
 
 
+@st.composite
+def _gradient_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, k = draw(st.integers(1, 12)), draw(st.integers(1, 10)), draw(st.integers(2, 5))
+    X = rng.normal(size=(n, d))
+    X[rng.random((n, d)) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0
+    # Empty rows, as a document with no feature gives.
+    X[rng.random(n) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    Y = rng.integers(0, 2, size=(n, k)).astype(np.float64)
+    W = rng.normal(scale=draw(st.sampled_from((0.1, 1.0, 5.0))), size=(d, k))
+    B = rng.normal(size=k)
+    return sparse.csr_array(X), Y, W, B, draw(st.sampled_from((0.0, 1e-4, 0.1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gradient_cases())
+def test_loss_and_grad_is_a_column_of_the_trainer_gradient(case):
+    X, Y, W, B, l2 = case
+    gW, gB = baseline._gradient(X, Y, W, B, l2)
+    for j in range(Y.shape[1]):
+        _, gw, gb = loss_and_grad(X, Y[:, j], W[:, j], B[j], l2)
+        assert np.array_equal(gw, gW[:, j])
+        # numpy sums a 1-D array pairwise but axis 0 of a 2-D one row by
+        # row, so the bias gradients may differ in the last bits.
+        assert gb == pytest.approx(gB[j], rel=1e-12, abs=0.0)
+
+
 def test_loss_agrees_between_sparse_and_dense():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(6, 4))
@@ -355,7 +383,8 @@ def _tuning_cases(draw):
 @given(_tuning_cases())
 def test_tuning_matches_reference_tuner(case):
     h, model, dev, passes = case
-    got = tune_thresholds(model, dev, h, max_passes=passes)
+    with mock.patch.object(baseline, "_MAX_PASSES", passes):
+        got = tune_thresholds(model, dev, h)
     want = reference_tune_thresholds(model, dev, h, max_passes=passes)
     assert np.array_equal(got.thresholds, want.thresholds)
 

@@ -39,10 +39,6 @@ from mocks import FakeClock, PerInstanceTransport, ScriptedTransport, ok_respons
 CFG = ProviderConfig(endpoint="https://example.test/v1/chat/completions")
 
 
-def fake_clock_cfg(**kw):
-    return ProviderConfig(endpoint="https://example.test/x", **kw)
-
-
 def inst(iid="m1", text="HELLO", image="https://img.test/m1.png", caption=None):
     return MemeInstance(
         id=iid, text=text, image=image, caption=caption,
