@@ -18,6 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
 import mimetypes
 import os
 import random
@@ -26,9 +27,9 @@ import threading
 import time
 from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .corpus import CAPTION_SOURCES, MemeInstance
+from .corpus import MemeInstance
 
 __all__ = [
     "PromptTemplate",
@@ -77,6 +78,16 @@ DEFAULT_REFUSAL_PATTERNS = (
     r"^as an ai\b",
     r"^sorry, but i\b",
 )
+_REFUSAL_RE = re.compile("|".join(f"(?:{p})" for p in DEFAULT_REFUSAL_PATTERNS),
+                         re.IGNORECASE)
+
+# Fixed request settings.  Both prompts ask for at most 200 words; a longer
+# caption is kept whole and logged.
+_MAX_TOKENS = 300
+_MAX_WORDS = 200
+_TIMEOUT_S = 60.0
+_MAX_TRANSPORT_RETRIES = 3
+_BACKOFF_BASE_S = 1.0  # doubles per retry, plus up to 0.25 s of jitter
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,6 @@ class PromptTemplate:
     """
 
     body: str
-    max_words: int = 200
 
     def __post_init__(self):
         n = self.body.count(PLACEHOLDER)
@@ -135,7 +145,7 @@ FALLBACK_PROMPT = PromptTemplate(
 
 @dataclass(frozen=True)
 class ProviderConfig:
-    """Remote captioning provider settings.
+    """Where to send caption requests and which model to ask.
 
     ``credential_env`` names the environment variable holding the API
     key; the value itself is never stored on this object.
@@ -144,13 +154,6 @@ class ProviderConfig:
     endpoint: str
     model: str = "gpt-4-vision-preview"
     credential_env: str = "PERSUASIONKIT_API_KEY"
-    max_tokens: int = 300
-    timeout: float = 60.0
-    max_transport_retries: int = 3
-    backoff_base: float = 1.0
-    refusal_patterns: tuple[str, ...] = DEFAULT_REFUSAL_PATTERNS
-    primary: PromptTemplate = PRIMARY_PROMPT
-    fallback: PromptTemplate = FALLBACK_PROMPT
 
 
 class TransportError(RuntimeError):
@@ -173,20 +176,16 @@ _RETRYABLE_4XX = frozenset({408, 429})
 def _image_part(image_ref: str) -> dict:
     """Build the image message part; local files become data URLs.
 
-    Image bytes are passed through opaquely (base64), never decoded.
+    Image bytes are passed through opaquely (base64), never decoded.  URLs
+    and unknown references are left for the provider to resolve.
     """
-    if re.match(r"^(https?|data):", image_ref):
-        return {"type": "image_url", "image_url": {"url": image_ref}}
-    if os.path.exists(image_ref):
+    url = image_ref
+    if not re.match(r"^(https?|data):", image_ref) and os.path.exists(image_ref):
         mime = mimetypes.guess_type(image_ref)[0] or "application/octet-stream"
         with open(image_ref, "rb") as fh:
             payload = base64.b64encode(fh.read()).decode("ascii")
-        return {
-            "type": "image_url",
-            "image_url": {"url": f"data:{mime};base64,{payload}"},
-        }
-    # Leave unknown references for the provider to resolve.
-    return {"type": "image_url", "image_url": {"url": image_ref}}
+        url = f"data:{mime};base64,{payload}"
+    return {"type": "image_url", "image_url": {"url": url}}
 
 
 def build_request(cfg: ProviderConfig, prompt: str, image_ref: str) -> dict:
@@ -202,7 +201,7 @@ def build_request(cfg: ProviderConfig, prompt: str, image_ref: str) -> dict:
                 ],
             }
         ],
-        "max_tokens": cfg.max_tokens,
+        "max_tokens": _MAX_TOKENS,
     }
 
 
@@ -238,7 +237,7 @@ class HttpTransport:
                 self.cfg.endpoint,
                 json=body,
                 headers=headers,
-                timeout=self.cfg.timeout,
+                timeout=_TIMEOUT_S,
             )
         except Exception as exc:
             raise TransportError(f"request failed: {type(exc).__name__}") from None
@@ -279,8 +278,8 @@ class TokenBucket:
     """
 
     def __init__(self, rate_per_minute: float, clock: _Clock | None = None):
-        if rate_per_minute <= 0:
-            raise ValueError("rate_per_minute must be positive")
+        if not 0 < rate_per_minute < math.inf:
+            raise ValueError(f"rate limit must be positive and finite, got {rate_per_minute}")
         self.interval = 60.0 / rate_per_minute
         self.clock = clock or _Clock()
         self.next_due = self.clock.monotonic()
@@ -295,7 +294,7 @@ class TokenBucket:
             self.clock.sleep(due - now)
 
 
-def _is_refusal(resp: dict, patterns: Iterable[str]) -> tuple[bool, str]:
+def _is_refusal(resp: dict) -> tuple[bool, str]:
     """Classify a provider response; returns (refused, caption_text).
 
     Raises TransportError for a response without the chat-completions
@@ -322,20 +321,12 @@ def _is_refusal(resp: dict, patterns: Iterable[str]) -> tuple[bool, str]:
     if not isinstance(content, str):
         raise TransportError("malformed provider response: content is not text")
     text = content.strip()
-    if finish == "content_filter":
-        return True, text
-    if not text:
-        return True, text
-    for pat in patterns:
-        if re.search(pat, text, re.IGNORECASE):
-            return True, text
-    return False, text
+    return finish == "content_filter" or not text or bool(_REFUSAL_RE.search(text)), text
 
 
 def _send_with_retries(
     transport,
     body: dict,
-    cfg: ProviderConfig,
     clock: _Clock,
     rng: random.Random,
     bucket: TokenBucket | None = None,
@@ -345,20 +336,19 @@ def _send_with_retries(
     Every attempt, a retry included, first takes a token from ``bucket``.
     """
     attempts = 0
-    for trial in range(cfg.max_transport_retries + 1):
+    for trial in range(_MAX_TRANSPORT_RETRIES + 1):
         if bucket is not None:
             bucket.acquire()
         try:
             attempts += 1
             return transport.send(body), attempts
         except TransportError as exc:
-            if not exc.retryable or trial == cfg.max_transport_retries:
+            if not exc.retryable or trial == _MAX_TRANSPORT_RETRIES:
                 logger.warning("transport gave up after %d attempts: %s", attempts, exc)
                 return None, attempts
-            delay = cfg.backoff_base * (2.0**trial) + rng.uniform(0.0, 0.25)
+            delay = _BACKOFF_BASE_S * (2.0**trial) + rng.uniform(0.0, 0.25)
             logger.info("transport error (%s); retrying in %.2fs", exc, delay)
             clock.sleep(delay)
-    return None, attempts  # unreachable
 
 
 def caption_instance(
@@ -372,7 +362,7 @@ def caption_instance(
     """Run the two-prompt protocol for one instance.
 
     Requires an image reference.  The caption is logged (not truncated)
-    if it exceeds the template word budget.  Each wire request, on either
+    if it exceeds the prompts' 200-word budget.  Each wire request, on either
     prompt and on every retry, first takes a token from ``bucket``.
     """
     if not inst.image:
@@ -381,28 +371,28 @@ def caption_instance(
     rng = rng or random.Random()
     attempts = 0
     for template, ok_status in (
-        (cfg.primary, STATUS_OK_PROMPT1),
-        (cfg.fallback, STATUS_OK_PROMPT2),
+        (PRIMARY_PROMPT, STATUS_OK_PROMPT1),
+        (FALLBACK_PROMPT, STATUS_OK_PROMPT2),
     ):
         prompt = render_prompt(template, inst.text)
         body = build_request(cfg, prompt, inst.image)
-        resp, used = _send_with_retries(transport, body, cfg, clock, rng, bucket)
+        resp, used = _send_with_retries(transport, body, clock, rng, bucket)
         attempts += used
         if resp is None:
             return CaptionOutcome(inst.id, STATUS_TRANSPORT_ERROR, None, attempts, cfg.model)
         try:
-            refused, text = _is_refusal(resp, cfg.refusal_patterns)
+            refused, text = _is_refusal(resp)
         except TransportError as exc:
             logger.warning("instance %s: %s", inst.id, exc)
             return CaptionOutcome(inst.id, STATUS_TRANSPORT_ERROR, None, attempts, cfg.model)
         if refused:
             logger.info("instance %s: refusal on %s", inst.id, ok_status)
             continue
-        if len(text.split()) > template.max_words:
+        if len(text.split()) > _MAX_WORDS:
             logger.warning(
                 "instance %s: caption exceeds %d words (%d)",
                 inst.id,
-                template.max_words,
+                _MAX_WORDS,
                 len(text.split()),
             )
         return CaptionOutcome(inst.id, ok_status, text, attempts, cfg.model)
@@ -504,10 +494,17 @@ def caption_corpus(
     reruns after an interruption issue requests only for incomplete ids.
     An unterminated last checkpoint line, left by a crash mid-append, is
     cut first; a malformed complete line still raises.
-    Outcomes are appended to the checkpoint as they complete; the returned
-    map includes resumed terminal outcomes.
+    Outcomes are appended to the checkpoint as they complete, by
+    ``concurrency`` worker threads; with one worker they follow corpus
+    order.  The returned map includes resumed terminal outcomes.
+
+    Raises ValueError, before the checkpoint is touched, for a
+    ``concurrency`` below 1 or a rate that is not positive and finite.
     """
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be at least 1, got {concurrency}")
     clock = clock or _Clock()
+    bucket = None if rate_per_minute is None else TokenBucket(rate_per_minute, clock)
     done: dict[str, CaptionOutcome] = {}
     if checkpoint_path:
         _cut_torn_tail(checkpoint_path)
@@ -529,7 +526,6 @@ def caption_corpus(
     if skipped_captioned:
         logger.info("skipping %d instances that already have captions", skipped_captioned)
 
-    bucket = TokenBucket(rate_per_minute, clock) if rate_per_minute else None
     write_lock = threading.Lock()
     results: dict[str, CaptionOutcome] = dict(done)
 
@@ -548,12 +544,8 @@ def caption_corpus(
         return outcome
 
     try:
-        if concurrency <= 1:
-            for inst in todo:
-                work(inst)
-        else:
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                list(pool.map(work, todo))
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            list(pool.map(work, todo))
     finally:
         if ckpt_fh is not None:
             ckpt_fh.close()

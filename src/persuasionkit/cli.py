@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import __version__
@@ -327,9 +328,7 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
         force=args.force,
         seed=seed,
     )
-    counts: dict[str, int] = {}
-    for o in outcomes.values():
-        counts[o.status] = counts.get(o.status, 0) + 1
+    counts = Counter(o.status for o in outcomes.values())
     for status in sorted(counts):
         print(f"{status}: {counts[status]}")
     config = {
@@ -346,9 +345,8 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
               "caption", config, [args.corpus])
     # The checkpoint is appended to as outcomes arrive; only its manifest
     # is written here.
-    if os.path.exists(args.out):
-        _write_manifest(args.out, "caption", config, [args.corpus])
-    if counts.get(STATUS_TRANSPORT_ERROR):
+    _write_manifest(args.out, "caption", config, [args.corpus])
+    if counts[STATUS_TRANSPORT_ERROR]:
         print(
             f"{counts[STATUS_TRANSPORT_ERROR]} instance(s) failed on transport",
             file=sys.stderr,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 
 from .hierarchy import LabelHierarchy
@@ -60,24 +60,29 @@ class MemeInstance:
     lang: str | None = None
 
 
-def _loads_array(text: str, what: str) -> list:
+def _records(text: str, what: str) -> Iterator[tuple[int, str, dict]]:
+    """Yield ``(index, id, record)`` for each record of a JSON array file.
+
+    Raises CorpusError unless the file is an array of objects, each with a
+    nonempty string ``id`` not seen before.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{what}: invalid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise CorpusError(f"{what}: expected a top-level array of records")
-    return doc
-
-
-def _record_id(rec: dict, idx: int, what: str, seen: set[str]) -> str:
-    iid = rec.get("id")
-    if not isinstance(iid, str) or not iid:
-        raise CorpusError(f"{what}: record {idx}: missing or empty 'id'")
-    if iid in seen:
-        raise CorpusError(f"{what}: record {idx}: duplicate id {iid!r}")
-    seen.add(iid)
-    return iid
+    seen: set[str] = set()
+    for idx, rec in enumerate(doc):
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{what}: record {idx}: expected an object")
+        iid = rec.get("id")
+        if not isinstance(iid, str) or not iid:
+            raise CorpusError(f"{what}: record {idx}: missing or empty 'id'")
+        if iid in seen:
+            raise CorpusError(f"{what}: record {idx}: duplicate id {iid!r}")
+        seen.add(iid)
+        yield idx, iid, rec
 
 
 def _opt_str(rec: dict, key: str, idx: int, what: str) -> str | None:
@@ -100,30 +105,16 @@ def _label_list(rec: dict, key: str, idx: int, what: str) -> list[str] | None:
     return val
 
 
-def load_corpus(
-    text: str,
-    hierarchy: LabelHierarchy | None = None,
-    aliases: Mapping[str, str] | None = None,
-) -> list[MemeInstance]:
+def load_corpus(text: str, hierarchy: LabelHierarchy | None = None) -> list[MemeInstance]:
     """Parse a dataset file into instances.
 
-    ``aliases`` maps file field names to canonical ones (e.g.
-    ``{"image_url": "image"}``) to absorb upstream schema drift.  When a
-    hierarchy is supplied, gold label sets are validated against it and
-    inconsistent sets are closed upward with a logged warning.  Unknown
-    fields (e.g. ``lang``) other than the canonical ones are ignored
-    except ``lang``, which is carried through.
+    When a hierarchy is supplied, gold label sets are validated against it
+    and inconsistent sets are closed upward with a logged warning.  Unknown
+    fields are ignored; ``lang`` is carried through.
     """
     what = "corpus"
-    records = _loads_array(text, what)
-    seen: set[str] = set()
     out: list[MemeInstance] = []
-    for idx, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise CorpusError(f"{what}: record {idx}: expected an object")
-        if aliases:
-            rec = {aliases.get(k, k): v for k, v in rec.items()}
-        iid = _record_id(rec, idx, what, seen)
+    for idx, iid, rec in _records(text, what):
         text_field = rec.get("text", "")
         if not isinstance(text_field, str):
             raise CorpusError(f"{what}: record {idx} ({iid}): 'text' must be a string")
@@ -237,13 +228,8 @@ def load_predictions(
     them anyway).
     """
     what = "predictions"
-    records = _loads_array(text, what)
-    seen: set[str] = set()
     out: dict[str, frozenset[str]] = {}
-    for idx, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise CorpusError(f"{what}: record {idx}: expected an object")
-        iid = _record_id(rec, idx, what, seen)
+    for idx, iid, rec in _records(text, what):
         labels = _label_list(rec, "labels", idx, what)
         if labels is None:
             raise CorpusError(f"{what}: record {idx} ({iid}): missing 'labels'")
@@ -267,13 +253,8 @@ def write_predictions(predictions: Mapping[str, Iterable[str]]) -> str:
 def load_binary_predictions(text: str) -> dict[str, bool]:
     """Parse {id, label} records; label is propagandistic/not_propagandistic."""
     what = "binary predictions"
-    records = _loads_array(text, what)
-    seen: set[str] = set()
     out: dict[str, bool] = {}
-    for idx, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise CorpusError(f"{what}: record {idx}: expected an object")
-        iid = _record_id(rec, idx, what, seen)
+    for idx, iid, rec in _records(text, what):
         label = rec.get("label")
         if label == BINARY_POSITIVE:
             out[iid] = True
@@ -298,13 +279,8 @@ def write_binary_predictions(predictions: Mapping[str, bool]) -> str:
 def load_captions(text: str) -> dict[str, tuple[str, str]]:
     """Parse {id, caption, source} records into id -> (caption, source)."""
     what = "captions"
-    records = _loads_array(text, what)
-    seen: set[str] = set()
     out: dict[str, tuple[str, str]] = {}
-    for idx, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise CorpusError(f"{what}: record {idx}: expected an object")
-        iid = _record_id(rec, idx, what, seen)
+    for idx, iid, rec in _records(text, what):
         cap = rec.get("caption")
         source = rec.get("source")
         if not isinstance(cap, str):

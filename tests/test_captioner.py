@@ -7,10 +7,12 @@ import random
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from persuasionkit import captioner
 from persuasionkit.captioner import (
     FALLBACK_PROMPT,
     PRIMARY_PROMPT,
@@ -86,7 +88,7 @@ def test_build_request_shape():
     text_part, image_part = msg["content"]
     assert text_part == {"type": "text", "text": "the prompt"}
     assert image_part["image_url"]["url"] == "https://img.test/a.png"
-    assert body["max_tokens"] == CFG.max_tokens
+    assert body["max_tokens"] == 300
 
 
 def test_build_request_local_image(tmp_path):
@@ -218,6 +220,18 @@ def test_mutated_provider_json_never_escapes(replies):
     assert (out.caption is not None) == (out.status in (STATUS_OK_PROMPT1, STATUS_OK_PROMPT2))
 
 
+def test_long_caption_is_kept_whole_and_logged(caplog):
+    for words, warned in ((200, False), (201, True)):
+        text = " ".join(["word"] * words)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="persuasionkit.captioner"):
+            out = caption_instance(inst("long"), CFG, ScriptedTransport([ok_response(text)]),
+                                   clock=_Clock(lambda: 0.0, lambda s: None))
+        assert out.status == STATUS_OK_PROMPT1 and out.caption == text
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == (["instance long: caption exceeds 200 words (201)"] if warned else [])
+
+
 def test_instance_without_image_rejected():
     with pytest.raises(ValueError, match="no image"):
         caption_instance(inst(image=None), CFG, ScriptedTransport())
@@ -347,19 +361,40 @@ def test_rate_limit_spaces_every_wire_request(script, n, rate):
     assert all(b - a >= interval * (1 - 1e-9) for a, b in zip(t.times, t.times[1:]))
 
 
-def test_concurrent_run_completes():
-    corpus = [inst(f"i{k}", f"t{k}", f"https://img.test/{k}.png") for k in range(8)]
-    out = caption_corpus(
-        corpus, CFG, ScriptedTransport(), concurrency=3,
-        clock=_Clock(lambda: 0.0, lambda s: None),
-    )
-    assert len(out) == 8
-    assert all(o.status == STATUS_OK_PROMPT1 for o in out.values())
+def test_concurrent_run_completes(tmp_path):
+    # Every worker count gives the same outcome per id and the same
+    # checkpoint lines; one worker writes them in corpus order.
+    corpus = [inst(f"i{k}", f"t{k}", f"https://img.test/{k}.png") for k in range(12)]
+    script = {
+        "https://img.test/1.png": [refusal_response(), ok_response("second")],
+        "https://img.test/2.png": [refusal_response("empty"), refusal_response("pattern")],
+        "https://img.test/3.png": ["error", ok_response("after a retry")],
+        "https://img.test/5.png": ["error"] * 4,
+        "https://img.test/8.png": ["error", refusal_response(), "error", "error",
+                                   ok_response("late")],
+    }
+    runs = {}
+    for jobs in (1, 2, 4):
+        ck = tmp_path / f"ck{jobs}.jsonl"
+        out = caption_corpus(corpus, CFG, PerInstanceTransport(script), checkpoint_path=str(ck),
+                             concurrency=jobs, clock=_Clock(lambda: 0.0, lambda s: None))
+        runs[jobs] = out, ck.read_text(encoding="utf-8").splitlines()
+    out, lines = runs[1]
+    assert {iid: o.status for iid, o in out.items()} == {
+        **{f"i{k}": STATUS_OK_PROMPT1 for k in range(12)},
+        "i1": STATUS_OK_PROMPT2, "i2": STATUS_REFUSED_BOTH, "i5": STATUS_TRANSPORT_ERROR,
+        "i8": STATUS_OK_PROMPT2,
+    }
+    assert [json.loads(line)["id"] for line in lines] == [i.id for i in corpus]
+    for jobs in (2, 4):
+        assert runs[jobs][0] == out
+        assert sorted(runs[jobs][1]) == sorted(lines)
 
 
 def test_token_bucket_validation():
-    with pytest.raises(ValueError):
-        TokenBucket(0)
+    for rate in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TokenBucket(rate)
 
 
 class BoundedClock(FakeClock):
@@ -485,12 +520,12 @@ def test_http_transport_errors(monkeypatch):
 def test_http_error_statuses_retry_only_when_transient(status, retries):
     # Timeouts (408), rate limiting (429) and 5xx can pass; any other 4xx
     # ends the instance after one wire attempt.
-    cfg = ProviderConfig(endpoint="https://example.test/v1", credential_env="PK_NOPE",
-                         max_transport_retries=retries)
+    cfg = ProviderConfig(endpoint="https://example.test/v1", credential_env="PK_NOPE")
     session = FakeSession([FakeResponse(status, {})] * (retries + 1))
     clock = FakeClock()
-    out = caption_instance(inst(), cfg, HttpTransport(cfg, session=session),
-                           clock=_Clock(clock.monotonic, clock.sleep))
+    with mock.patch.object(captioner, "_MAX_TRANSPORT_RETRIES", retries):
+        out = caption_instance(inst(), cfg, HttpTransport(cfg, session=session),
+                               clock=_Clock(clock.monotonic, clock.sleep))
     transient = status >= 500 or status in (408, 429)
     want = retries + 1 if transient else 1
     assert out.status == STATUS_TRANSPORT_ERROR

@@ -532,6 +532,34 @@ def test_caption_requires_endpoint(tmp_path, capsys):
     assert "--endpoint is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, problem", [
+    ("--rate-limit", "0", "positive and finite"),
+    ("--rate-limit", "-1", "positive and finite"),
+    ("--rate-limit", "nan", "positive and finite"),
+    ("--rate-limit", "inf", "positive and finite"),
+    ("--jobs", "0", "at least 1"),
+    ("--jobs", "-2", "at least 1"),
+])
+def test_caption_rejects_bad_rate_or_jobs_before_any_request(tmp_path, capsys, monkeypatch,
+                                                              option, value, problem):
+    # Both as a flag and from the environment.  A rate of 0, NaN or
+    # infinity must fail, not turn rate limiting off.
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    env = "PERSUASIONKIT_" + option[2:].upper().replace("-", "_")
+    for argv, environ in (([option, value], {}), ([], {env: value})):
+        ck = tmp_path / "ck.jsonl"
+        transport = ScriptedTransport()
+        with monkeypatch.context() as m:
+            for key, val in environ.items():
+                m.setenv(key, val)
+            rc = main(["caption", "--corpus", corpus, "--out", str(ck)] + argv,
+                      transport=transport)
+        assert rc == 1
+        assert problem in capsys.readouterr().err
+        assert transport.requests == []
+        assert not ck.exists()
+
+
 # -- caption-eval ----------------------------------------------------------------
 
 def test_caption_eval(tmp_path, capsys):
@@ -604,8 +632,9 @@ def test_caption_eval_report_equals_reference_kernels(tmp_path, capsys, monkeypa
 
 
 def test_commands_that_do_not_train_never_load_scipy(tmp_path):
-    # Only train and predict need scipy; every other command must run
-    # without importing it.
+    # Only train and predict need scipy, and only a caption run against a
+    # real endpoint needs requests (and urllib3 under it); every other
+    # command must run without importing them.
     gold = os.path.join(SYNTHETIC, "heldout.json")
     pred = write(tmp_path / "pred.json", json.dumps(
         [{"id": r["id"], "labels": r["labels"][:1]} for r in read_json(gold)]))
@@ -623,8 +652,9 @@ def test_commands_that_do_not_train_never_load_scipy(tmp_path):
         "import json, sys\n"
         "from persuasionkit.cli import main\n"
         "rcs = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "print(json.dumps({'rcs': rcs, 'scipy': loaded}))\n"
+        "heavy = ('scipy', 'requests', 'urllib3')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in heavy)\n"
+        "print(json.dumps({'rcs': rcs, 'loaded': loaded}))\n"
     )
     src = os.path.join(HERE, "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -633,7 +663,7 @@ def test_commands_that_do_not_train_never_load_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"rcs": [0] * len(commands), "scipy": []}
+    assert result == {"rcs": [0] * len(commands), "loaded": []}
 
 
 def test_bootstrap_never_loads_numpy_ma(tmp_path):

@@ -47,12 +47,6 @@ def test_load_corpus_full_record():
     assert corpus[1].gold is None and corpus[1].caption is None
 
 
-def test_load_corpus_aliases():
-    text = json.dumps([{"id": "m1", "text": "t", "image_url": "x.png"}])
-    corpus = load_corpus(text, aliases={"image_url": "image"})
-    assert corpus[0].image == "x.png"
-
-
 def test_gold_autoclose_warns(caplog):
     h = parse_hierarchy(WORKED)
     text = json.dumps([{"id": "m1", "text": "t", "labels": ["NameCalling"]}])
