@@ -16,8 +16,11 @@ import hashlib
 import json
 import logging
 import math
+import os
+import threading
 from array import array
 from collections.abc import Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -317,6 +320,39 @@ def _gold_rows(corpus: Sequence[MemeInstance], h: LabelHierarchy, what: str) -> 
     return h.closed_rows(inst.gold for inst in corpus)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on, which bounds descent's threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _descend(
+    Xu: "sparse.csr_array",
+    Y: np.ndarray,
+    heads: np.ndarray,
+    W: np.ndarray,
+    B: np.ndarray,
+    tcfg: TrainConfig,
+    stop: threading.Event,
+):
+    """Every epoch of descent for the heads ``heads``, written into
+    ``W[:, heads]`` and ``B[heads]``; returns early, writing nothing, once
+    ``stop`` is set."""
+    Yg = Y[:, heads]
+    Wg = np.zeros((Xu.shape[1], heads.size), dtype=np.float64)
+    Bg = np.zeros(heads.size, dtype=np.float64)
+    for _ in range(tcfg.epochs):
+        if stop.is_set():
+            return
+        gW, gB = _gradient(Xu, Yg, Wg, Bg, tcfg.l2)
+        Wg -= tcfg.learning_rate * gW
+        Bg -= tcfg.learning_rate * gB
+    W[:, heads] = Wg
+    B[heads] = Bg
+
+
 def train(
     corpus: Sequence[MemeInstance],
     h: LabelHierarchy,
@@ -330,7 +366,19 @@ def train(
     zero weights and a strongly negative bias (always-negative head) and a
     warning.  Thresholds start at 0.5.  The model holds one weight row per
     bucket some training document uses.
+
+    The heads descend in groups of at least two, one thread per group and
+    at most one per CPU.  Every element of ``_gradient``'s products and
+    of ``expit`` is computed per column in the same order at any group
+    width, and an ``(n, k)`` bias gradient is summed row by row for every
+    ``k >= 2``, so the model is the same bit for bit at any thread count.
+    (numpy sums an ``(n, 1)`` column pairwise, so a one-head group would
+    not be; only a model with a single trainable head descends one.)
+    An error in one group, or an interrupt while the groups descend, stops
+    the others at their next epoch, and the call waits for them to stop.
     """
+    from scipy import sparse
+
     fcfg = feature_config or FeatureConfig()
     tcfg = train_config or TrainConfig()
     Y = _gold_rows(corpus, h, "training").astype(np.float64)
@@ -352,17 +400,25 @@ def train(
     W = np.zeros((used.size, len(labels)), dtype=np.float64)
     active = np.flatnonzero(trainable)
     if active.size:
-        Xu = _onto_rows(X, used)
+        # Every column is used, so each index renumbers by one search;
+        # int32 indices halve the index memory and give the same products.
+        index = np.int32 if X.nnz < 2**31 else np.int64
+        Xu = sparse.csr_array(
+            (X.data, np.searchsorted(used, X.indices).astype(index, copy=False),
+             X.indptr.astype(index, copy=False)),
+            shape=(X.shape[0], used.size),
+        )
         del X
-        Wa = np.zeros((used.size, active.size), dtype=np.float64)
-        Ba = np.zeros(active.size, dtype=np.float64)
-        Ya = Y[:, active]
-        for _ in range(tcfg.epochs):
-            gW, gB = _gradient(Xu, Ya, Wa, Ba, tcfg.l2)
-            Wa -= tcfg.learning_rate * gW
-            Ba -= tcfg.learning_rate * gB
-        W[:, active] = Wa
-        B[active] = Ba
+        groups = np.array_split(active, max(1, min(_cpu_count(), active.size // 2)))
+        stop = threading.Event()
+        with ThreadPoolExecutor(len(groups), thread_name_prefix="descent") as pool:
+            try:
+                jobs = [pool.submit(_descend, Xu, Y, heads, W, B, tcfg, stop)
+                        for heads in groups]
+                for job in as_completed(jobs):
+                    job.result()
+            finally:
+                stop.set()
 
     return HierModel(
         labels=labels,

@@ -326,6 +326,7 @@ def _is_refusal(resp: dict) -> tuple[bool, str]:
 
 def _send_with_retries(
     transport,
+    instance_id: str,
     body: dict,
     clock: _Clock,
     rng: random.Random,
@@ -334,6 +335,7 @@ def _send_with_retries(
     """Returns (response or None, wire attempts used).
 
     Every attempt, a retry included, first takes a token from ``bucket``.
+    The warning on giving up names ``instance_id``.
     """
     attempts = 0
     for trial in range(_MAX_TRANSPORT_RETRIES + 1):
@@ -344,10 +346,12 @@ def _send_with_retries(
             return transport.send(body), attempts
         except TransportError as exc:
             if not exc.retryable or trial == _MAX_TRANSPORT_RETRIES:
-                logger.warning("transport gave up after %d attempts: %s", attempts, exc)
+                logger.warning("instance %s: transport gave up after %d attempts: %s",
+                               instance_id, attempts, exc)
                 return None, attempts
             delay = _BACKOFF_BASE_S * (2.0**trial) + rng.uniform(0.0, 0.25)
-            logger.info("transport error (%s); retrying in %.2fs", exc, delay)
+            logger.info("instance %s: transport error (%s); retrying in %.2fs",
+                        instance_id, exc, delay)
             clock.sleep(delay)
 
 
@@ -376,7 +380,7 @@ def caption_instance(
     ):
         prompt = render_prompt(template, inst.text)
         body = build_request(cfg, prompt, inst.image)
-        resp, used = _send_with_retries(transport, body, clock, rng, bucket)
+        resp, used = _send_with_retries(transport, inst.id, body, clock, rng, bucket)
         attempts += used
         if resp is None:
             return CaptionOutcome(inst.id, STATUS_TRANSPORT_ERROR, None, attempts, cfg.model)

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -315,6 +316,79 @@ def test_training_matches_dense_reference_bit_for_bit(case):
                          tcfg.epochs, tcfg.learning_rate, tcfg.l2)
     assert np.array_equal(model.weights, W)
     assert np.array_equal(model.bias, B)
+
+
+@st.composite
+def _wide_training_cases(draw):
+    # Nine documents or more: numpy sums a column of eight or more values
+    # pairwise, so a one-head group would not match the reference.
+    h = draw(st.sampled_from((H, SUBTASK2A)))
+    text = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+    gold = st.frozensets(st.sampled_from(sorted(h.non_root_labels())), max_size=3)
+    corpus = [doc(f"d{i}", draw(text), draw(gold)) for i in range(draw(st.integers(9, 40)))]
+    tcfg = TrainConfig(
+        epochs=draw(st.integers(1, 30)),
+        learning_rate=draw(st.sampled_from((0.1, 0.5, 2.0))),
+        l2=draw(st.sampled_from((0.0, 1e-4, 0.1))),
+    )
+    return h, corpus, FeatureConfig(dimension=2**10), tcfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_training_cases())
+def test_training_is_bit_identical_at_every_worker_count(case):
+    h, corpus, fcfg, tcfg = case
+    Y = h.closed_rows(d.gold for d in corpus).astype(np.float64)
+    W, B = dense_descent(baseline._design_matrix(corpus, fcfg), Y,
+                         tcfg.epochs, tcfg.learning_rate, tcfg.l2)
+    for workers in (1, 2, 3, 4):
+        with mock.patch.object(baseline, "_cpu_count", return_value=workers):
+            model = train(corpus, h, fcfg, tcfg)
+        assert np.array_equal(model.weights, W), workers
+        assert np.array_equal(model.bias, B), workers
+
+
+def test_more_head_groups_than_cores_match_the_reference():
+    # Up to 15 threads writing their own columns of one weight matrix,
+    # switching as often as the interpreter allows.
+    labels = sorted(SUBTASK2A.non_root_labels())
+    corpus = [doc(f"d{i}", f"{WORDS[i % 8]} {WORDS[i % 7]} {WORDS[i % 3]}",
+                  {labels[i % len(labels)], labels[(3 * i) % len(labels)]})
+              for i in range(3 * len(labels))]
+    fcfg, tcfg = FeatureConfig(dimension=2**10), TrainConfig(epochs=30)
+    Y = SUBTASK2A.closed_rows(d.gold for d in corpus).astype(np.float64)
+    W, B = dense_descent(baseline._design_matrix(corpus, fcfg), Y,
+                         tcfg.epochs, tcfg.learning_rate, tcfg.l2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(baseline, "_cpu_count", return_value=64):
+            model = train(corpus, SUBTASK2A, fcfg, tcfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert Y.any(axis=0).sum() >= 30
+    assert np.array_equal(model.weights, W)
+    assert np.array_equal(model.bias, B)
+
+
+def test_a_failing_head_group_stops_the_others():
+    corpus = [doc(f"d{i}", f"{WORDS[i % 8]} {WORDS[i % 5]}", {lab})
+              for i, lab in enumerate(sorted(SUBTASK2A.non_root_labels())[:8])]
+    gradient, calls = baseline._gradient, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise RuntimeError("descent failed")
+        return gradient(*args)
+
+    with mock.patch.object(baseline, "_cpu_count", return_value=4), \
+            mock.patch.object(baseline, "_gradient", failing):
+        with pytest.raises(RuntimeError, match="descent failed"):
+            train(corpus, SUBTASK2A, FeatureConfig(dimension=2**10), TrainConfig(epochs=10**5))
+    # The other groups stopped at their next epoch, and none outlived train.
+    assert len(calls) < 10**4
+    assert not [t for t in threading.enumerate() if t.name.startswith("descent")]
 
 
 # -- thresholds ----------------------------------------------------------------

@@ -156,6 +156,24 @@ def test_transport_gives_up_and_never_retries_refusals():
     assert len(t2.requests) == 2
 
 
+def test_give_up_warning_names_the_instance(caplog):
+    clock = FakeClock()
+    t = PerInstanceTransport({f"https://img.test/{iid}.png": ["error"] * 4
+                              for iid in ("m7", "m9")})
+    corpus = [inst(iid, f"text {iid}", f"https://img.test/{iid}.png")
+              for iid in ("m7", "m8", "m9")]
+    with caplog.at_level(logging.WARNING, logger="persuasionkit.captioner"):
+        out = caption_corpus(corpus, CFG, t, concurrency=2,
+                             clock=_Clock(clock.monotonic, clock.sleep))
+    assert {iid: o.status for iid, o in out.items()} == {
+        "m7": STATUS_TRANSPORT_ERROR, "m8": STATUS_OK_PROMPT1, "m9": STATUS_TRANSPORT_ERROR}
+    warnings = sorted(r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
+    assert warnings == [
+        f"instance {iid}: transport gave up after 4 attempts: scripted failure"
+        for iid in ("m7", "m9")
+    ]
+
+
 @pytest.mark.parametrize("resp", [
     {"choices": [None]},
     {"choices": ["hi"]},

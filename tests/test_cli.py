@@ -2,9 +2,12 @@ import hashlib
 import json
 import os
 import random
+import select
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -394,6 +397,56 @@ def test_train_memory_does_not_grow_with_dimension(tmp_path):
         rc, peaks[dim] = map(int, proc.stdout.split()[-2:])
         assert rc == 0, proc.stderr
     assert abs(peaks[2**30] - peaks[2**16]) <= 0.1 * peaks[2**16], peaks
+
+
+# Descends on two threads whatever the machine, and announces on stdout
+# once both have taken a gradient step; then runs the CLI.
+_DESCENT_SCRIPT = """
+import sys, threading
+from persuasionkit import baseline
+from persuasionkit.cli import main
+gradient, threads, lock = baseline._gradient, set(), threading.Lock()
+def announce(*args):
+    with lock:
+        if len(threads) < 2:
+            threads.add(threading.get_ident())
+            if len(threads) == 2:
+                print("descending", flush=True)
+    return gradient(*args)
+baseline._gradient = announce
+baseline._cpu_count = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_interrupted_train_stops_promptly_and_writes_nothing(tmp_path):
+    # 10^6 epochs would take many minutes: SIGINT once both head groups
+    # descend must stop each at its next epoch, and no model file may
+    # appear.
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    model = tmp_path / "model.json"
+    argv = ["train", "--hierarchy", SYNTHETIC_H,
+            "--corpus", os.path.join(SYNTHETIC, "train.json"),
+            "--epochs", str(10**6), "--out", str(model)]
+    proc = subprocess.Popen([sys.executable, "-c", _DESCENT_SCRIPT, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no two descent threads"
+        assert proc.stdout.readline() == "descending\n"
+        proc.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        _, stderr = proc.communicate(timeout=60)
+        elapsed = time.monotonic() - start
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == -signal.SIGINT, stderr
+    assert "KeyboardInterrupt" in stderr
+    assert elapsed < 5.0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_predict_counts_caption_less_instances(tmp_path, caplog):
