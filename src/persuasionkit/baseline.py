@@ -6,8 +6,8 @@ initialization and an L2 penalty, so a (corpus, hierarchy, config, seed)
 tuple maps to bit-identical model files.  Per-label decision thresholds
 start at 0.5 and can be tuned by coordinate ascent on dev HF1.
 
-scipy is imported inside the functions that fit and score, so the
-commands that never touch a model do not pay for loading it.
+scipy is imported inside the functions that fit, so the commands that
+never train do not pay for loading it; scoring runs on plain arrays.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import json
 import logging
 import math
 import os
+import signal
 import threading
 from array import array
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +68,15 @@ _MAX_DIMENSION = 2**62
 # Instances featurized and scored together: bounds scoring memory, and
 # cannot change a score, since each row is scored on its own.
 _SCORE_BLOCK = 1024
+
+# Index elements searched at a time when renumbering without a bucket
+# map, which bounds the temporaries.
+_RENUMBER_CHUNK = 2**16
+
+# A bucket map (see _positions) is built when the dimension is at most
+# this, or at most the number of indices it renumbers: so it never takes
+# more than 8 MB or the size of the indices.
+_MAP_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -227,19 +238,34 @@ def _zero_weights(dimension: int, n_labels: int) -> np.ndarray:
 
 
 def _gradient(
-    X: "sparse.csr_array | np.ndarray", Y: np.ndarray, W: np.ndarray, B: np.ndarray, l2: float
+    X: "sparse.csr_array | np.ndarray",
+    Y: np.ndarray,
+    W: np.ndarray,
+    B: np.ndarray,
+    l2: float,
+    forward: "sparse.csc_array | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(dloss/dW, dloss/dB)`` of :func:`loss_and_grad`'s objective for
     the heads in the columns of ``Y``, ``W`` and ``B``.
 
-    For a CSR ``X``, ``X.T`` is a CSC view sharing its arrays, and each
-    column of ``X.T @ E`` adds its terms in ascending instance order, as
-    a product with a CSR copy of the transpose does.
+    The forward product is ``forward @ W``, with ``forward`` a CSC copy of
+    a CSR ``X`` (``X`` itself when None).  The CSC product scatters each
+    column's terms into the row sums, so each sum still starts at +0.0
+    and adds its terms in ascending column order, as the CSR product
+    does: the two are equal bit for bit.  ``X.T`` is a CSC view sharing
+    ``X``'s arrays, and each column of ``X.T @ E`` adds its terms in
+    ascending instance order.
     """
     from scipy.special import expit
 
-    E = (expit(X @ W + B) - Y) / X.shape[0]
-    return X.T @ E + l2 * W, E.sum(axis=0)
+    E = (X if forward is None else forward) @ W
+    E += B
+    expit(E, out=E)
+    E -= Y
+    E /= X.shape[0]
+    G = X.T @ E
+    G += l2 * W
+    return G, E.sum(axis=0)
 
 
 def loss_and_grad(
@@ -264,9 +290,12 @@ def loss_and_grad(
     return loss, grad_w.ravel(), float(grad_b[0])
 
 
-def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sparse.csr_array":
-    from scipy import sparse
-
+def _design_arrays(
+    instances: Sequence[MemeInstance], cfg: FeatureConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instances' :func:`featurize` vectors as CSR arrays ``(data,
+    indices, indptr)``, one row per instance, each row's int64 bucket
+    indices in :func:`featurize`'s key order."""
     # Flat typed buffers rather than one Python object per non-zero.
     cols = array("q")
     vals = array("d")
@@ -276,37 +305,107 @@ def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sp
         cols.extend(vec.keys())
         vals.extend(vec.values())
         indptr.append(len(cols))
-    X = sparse.csr_array(
-        (np.frombuffer(vals, dtype=np.float64), np.frombuffer(cols, dtype=np.int64),
-         np.frombuffer(indptr, dtype=np.int64)),
-        shape=(len(instances), cfg.dimension),
-    )
+    return (np.frombuffer(vals, dtype=np.float64), np.frombuffer(cols, dtype=np.int64),
+            np.frombuffer(indptr, dtype=np.int64))
+
+
+def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sparse.csr_array":
+    """:func:`_design_arrays` as a CSR matrix with ``cfg.dimension`` columns."""
+    from scipy import sparse
+
+    X = sparse.csr_array(_design_arrays(instances, cfg), shape=(len(instances), cfg.dimension))
     # Ascending columns per row, as a COO -> CSR build leaves them: descent
     # sums in this order, so the model bytes depend on it.
     X.sort_indices()
     return X
 
 
-def _onto_rows(X: "sparse.csr_array", rows: np.ndarray) -> "sparse.csr_array":
-    """``X``'s columns renumbered onto the ascending bucket indices
-    ``rows``, with the columns not in ``rows`` dropped.
+def _mapped(dimension: int, n_indices: int) -> bool:
+    """Whether to renumber ``n_indices`` indices through a map from every
+    one of ``dimension`` buckets, whose memory is then bounded."""
+    return dimension <= max(n_indices, _MAP_ENTRIES)
 
-    Each row keeps its ascending column order, so ``_onto_rows(X, rows) @
-    row_weights`` adds the same products in the same order as ``X @ W``
-    for the dense ``W`` that is zero off ``rows``, less the dropped terms.
-    Each of those is ``x * 0.0``, a signed zero, and adding a signed zero
-    to the CSR product's running sum, which starts at +0.0, never changes
-    it: the two products are equal bit for bit.
+
+def _positions(rows: np.ndarray, indices: np.ndarray, dimension: int, dtype) -> np.ndarray:
+    """Each of ``indices``' position in the ascending bucket indices
+    ``rows``, or -1 where it is not one of them.
+
+    Looked up in a map from every bucket when :func:`_mapped` allows it;
+    otherwise found by binary search, ``_RENUMBER_CHUNK`` indices at a
+    time, so no temporary grows with ``dimension``.
     """
-    from scipy import sparse
+    if _mapped(dimension, indices.size):
+        where = np.full(dimension, -1, dtype=dtype)
+        where[rows] = np.arange(rows.size, dtype=dtype)
+        return where[indices]
+    out = np.empty(indices.size, dtype=dtype)
+    for s in range(0, indices.size, _RENUMBER_CHUNK):
+        chunk = indices[s : s + _RENUMBER_CHUNK]
+        pos = np.searchsorted(rows, chunk)
+        out[s : s + _RENUMBER_CHUNK] = np.where(
+            np.searchsorted(rows, chunk, side="right") > pos, pos, -1)
+    return out
 
-    pos = np.searchsorted(rows, X.indices)
-    keep = np.searchsorted(rows, X.indices, side="right") > pos
-    data, indptr = X.data, X.indptr
+
+def _onto_rows(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray, dimension: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays' columns renumbered onto the ascending bucket indices
+    ``rows``, with the columns not in ``rows`` dropped and each row's
+    columns sorted ascending.
+
+    So the renumbered matrix times ``row_weights`` adds the same products
+    in the same order as ``X @ W``, for ``X`` with sorted rows and the
+    dense ``W`` that is zero off ``rows``, less the dropped terms.  Each
+    of those is ``x * 0.0``, a signed zero, and adding a signed zero to a
+    running sum that starts at +0.0 never changes it: the two products
+    are equal bit for bit.
+    """
+    pos = _positions(rows, indices, dimension, np.int64)
+    keep = pos >= 0
     if not keep.all():
         data, pos = data[keep], pos[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-    return sparse.csr_array((data, pos, indptr), shape=(X.shape[0], rows.size))
+    # A row's buckets are distinct, so its (row, position) keys are too.
+    # They stay far below 2**63: a block has at most _SCORE_BLOCK rows.
+    key = np.repeat(np.arange(indptr.size - 1), np.diff(indptr)) * rows.size + pos
+    order = np.argsort(key)
+    return data[order], pos[order], indptr
+
+
+def _product(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, W: np.ndarray
+) -> np.ndarray:
+    """``X @ W`` for the CSR matrix ``X`` with arrays ``(data, indices,
+    indptr)``, equal bit for bit to scipy's CSR product.
+
+    The rows are taken longest first.  Step ``p`` adds the ``p``-th term
+    of every row longer than ``p`` to that row's sums, so each sum starts
+    at +0.0 and adds its terms one after another in stored order, as
+    scipy's loop does, with no BLAS call.
+    """
+    lengths = np.diff(indptr)
+    order = np.argsort(-lengths, kind="stable")
+    longest = lengths[order]
+    starts = indptr[:-1][order]
+    acc = np.zeros((lengths.size, W.shape[1]), dtype=np.float64)
+    for p in range(int(longest[0]) if lengths.size else 0):
+        m = int(np.count_nonzero(longest > p))
+        k = starts[:m] + p
+        acc[:m] += data[k, None] * W[indices[k]]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _sigmoid(x: float) -> float:
+    """``1 / (1 + e^-x)`` through the C library's ``exp``, as
+    ``scipy.special.expit`` computes it; numpy's own ``exp`` rounds some
+    values differently."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # e^-x above the largest double: 1 / inf
+        return 0.0
 
 
 def _gold_rows(corpus: Sequence[MemeInstance], h: LabelHierarchy, what: str) -> np.ndarray:
@@ -330,6 +429,7 @@ def _cpu_count() -> int:
 
 def _descend(
     Xu: "sparse.csr_array",
+    Xc: "sparse.csc_array",
     Y: np.ndarray,
     heads: np.ndarray,
     W: np.ndarray,
@@ -338,7 +438,8 @@ def _descend(
     stop: threading.Event,
 ):
     """Every epoch of descent for the heads ``heads``, written into
-    ``W[:, heads]`` and ``B[heads]``; returns early, writing nothing, once
+    ``W[:, heads]`` and ``B[heads]``, with ``Xc`` the CSC copy of ``Xu``
+    for the forward product; returns early, writing nothing, once
     ``stop`` is set."""
     Yg = Y[:, heads]
     Wg = np.zeros((Xu.shape[1], heads.size), dtype=np.float64)
@@ -346,11 +447,68 @@ def _descend(
     for _ in range(tcfg.epochs):
         if stop.is_set():
             return
-        gW, gB = _gradient(Xu, Yg, Wg, Bg, tcfg.l2)
+        gW, gB = _gradient(Xu, Yg, Wg, Bg, tcfg.l2, Xc)
         Wg -= tcfg.learning_rate * gW
         Bg -= tcfg.learning_rate * gB
     W[:, heads] = Wg
     B[heads] = Bg
+
+
+def _renumbered(X: "sparse.csr_array") -> tuple[np.ndarray, "sparse.csr_array"]:
+    """``(used, Xu)``: the ascending columns some row of ``X`` uses, and
+    ``X`` on those columns alone, its indices renumbered onto them.
+
+    int32 indices halve the index memory and give the same products.  No
+    temporary grows with the dimension beyond the bound :func:`_mapped`
+    sets.
+    """
+    from scipy import sparse
+
+    if _mapped(X.shape[1], X.nnz):
+        seen = np.zeros(X.shape[1], dtype=bool)
+        seen[X.indices] = True
+        used = np.flatnonzero(seen)
+    else:
+        used = np.unique(np.concatenate(
+            [np.unique(X.indices[s : s + _RENUMBER_CHUNK])
+             for s in range(0, X.nnz, _RENUMBER_CHUNK)] or [[]]
+        )).astype(np.int64)
+    index = np.int32 if X.nnz < 2**31 else np.int64
+    Xu = sparse.csr_array(
+        (X.data, _positions(used, X.indices, X.shape[1], index),
+         X.indptr.astype(index, copy=False)),
+        shape=(X.shape[0], used.size),
+    )
+    return used, Xu
+
+
+@contextmanager
+def _interrupt_sets(stop: threading.Event):
+    """Within the block, Ctrl-C sets ``stop`` instead of raising, and
+    KeyboardInterrupt is raised once the block is done.
+
+    Python runs signal handlers in the main thread, whichever thread got
+    the signal, so no KeyboardInterrupt can land while the block starts
+    or joins a thread.  Anywhere but in the main thread with Python's
+    default SIGINT handler, the block runs as it is.
+    """
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGINT) is not signal.default_int_handler):
+        yield
+        return
+    interrupted = []
+
+    def on_sigint(signum, frame):
+        interrupted.append(signum)
+        stop.set()
+
+    signal.signal(signal.SIGINT, on_sigint)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+    if interrupted:
+        raise KeyboardInterrupt
 
 
 def train(
@@ -376,9 +534,9 @@ def train(
     not be; only a model with a single trainable head descends one.)
     An error in one group, or an interrupt while the groups descend, stops
     the others at their next epoch, and the call waits for them to stop.
+    In the main thread, Ctrl-C only sets that stop, and ``train`` raises
+    KeyboardInterrupt once every group has stopped.
     """
-    from scipy import sparse
-
     fcfg = feature_config or FeatureConfig()
     tcfg = train_config or TrainConfig()
     Y = _gold_rows(corpus, h, "training").astype(np.float64)
@@ -396,24 +554,20 @@ def train(
 
     # A column no document touches starts at 0 and the L2 update keeps it
     # there, so the model is exact on the used columns alone.
-    used = np.unique(X.indices).astype(np.int64)
+    used, Xu = _renumbered(X)
+    del X
     W = np.zeros((used.size, len(labels)), dtype=np.float64)
     active = np.flatnonzero(trainable)
     if active.size:
-        # Every column is used, so each index renumbers by one search;
-        # int32 indices halve the index memory and give the same products.
-        index = np.int32 if X.nnz < 2**31 else np.int64
-        Xu = sparse.csr_array(
-            (X.data, np.searchsorted(used, X.indices).astype(index, copy=False),
-             X.indptr.astype(index, copy=False)),
-            shape=(X.shape[0], used.size),
-        )
-        del X
+        # One column-major copy, shared by every group, for the forward
+        # products.
+        Xc = Xu.tocsc()
         groups = np.array_split(active, max(1, min(_cpu_count(), active.size // 2)))
         stop = threading.Event()
-        with ThreadPoolExecutor(len(groups), thread_name_prefix="descent") as pool:
+        with _interrupt_sets(stop), \
+                ThreadPoolExecutor(len(groups), thread_name_prefix="descent") as pool:
             try:
-                jobs = [pool.submit(_descend, Xu, Y, heads, W, B, tcfg, stop)
+                jobs = [pool.submit(_descend, Xu, Xc, Y, heads, W, B, tcfg, stop)
                         for heads in groups]
                 for job in as_completed(jobs):
                     job.result()
@@ -443,20 +597,24 @@ def _check_hierarchy(model: HierModel, h: LabelHierarchy):
 def _score_matrix(model: HierModel, corpus: Sequence[MemeInstance]) -> np.ndarray:
     """Sigmoid scores, one row per instance and one column per head.
 
-    ``expit(X @ W + b)`` with ``X`` the corpus's design matrix: scipy's
-    CSR product adds each row's terms one after another in ascending
-    column order, with no BLAS call, so the scores do not depend on the
-    CPU's BLAS kernel or on how many instances are scored together.  It
-    is computed as ``_onto_rows(X, weight_rows) @ row_weights``, which is
-    equal bit for bit, over blocks of at most ``_SCORE_BLOCK`` instances.
+    ``expit(X @ W + b)`` with ``X`` the corpus's design matrix, equal bit
+    for bit to scipy's CSR product and ``scipy.special.expit``: each row
+    adds its terms one after another in ascending column order, with no
+    BLAS call, so the scores do not depend on the CPU's BLAS kernel or on
+    how many instances are scored together.  It is computed on the rows
+    ``_onto_rows`` keeps, which is equal bit for bit, over blocks of at
+    most ``_SCORE_BLOCK`` instances.
     """
-    from scipy.special import expit
-
     S = np.empty((len(corpus), len(model.labels)), dtype=np.float64)
     for start in range(0, len(corpus), _SCORE_BLOCK):
         block = corpus[start : start + _SCORE_BLOCK]
-        X = _onto_rows(_design_matrix(block, model.feature_config), model.weight_rows)
-        S[start : start + len(block)] = expit(X @ model.row_weights + model.bias)
+        arrays = _onto_rows(*_design_arrays(block, model.feature_config), model.weight_rows,
+                            model.feature_config.dimension)
+        Z = _product(*arrays, model.row_weights)
+        Z += model.bias
+        S[start : start + len(block)] = np.fromiter(
+            map(_sigmoid, Z.ravel().tolist()), dtype=np.float64, count=Z.size
+        ).reshape(Z.shape)
     return S
 
 
@@ -585,8 +743,10 @@ def load_model(data: bytes) -> HierModel:
 
     Raises ValueError naming the problem for a file that is not a model,
     lacks a key, whose weights, bias or thresholds disagree in shape
-    with its labels and feature dimension, or whose dimension is not a
-    power of two or is above 2**62.  The rows may come in any order.
+    with its labels and feature dimension, whose dimension is not a
+    power of two or is above 2**62, whose weights or bias are not finite
+    or whose thresholds are not in (0, 1).  The rows may come in any
+    order.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
@@ -622,6 +782,12 @@ def load_model(data: bytes) -> HierModel:
     for name, arr in (("bias", bias), ("thresholds", thresholds)):
         if arr.shape != (n,):
             raise ValueError(f"model file: {name} must hold {n} numbers, one per label")
+    for label, b, t in zip(labels, bias.tolist(), thresholds.tolist()):
+        if not math.isfinite(b):
+            raise ValueError(
+                f"model file: the bias of label {label!r} is {b}, not a finite number")
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"model file: the threshold of label {label!r} is {t}, not in (0, 1)")
     rows, weights = payload["weight_rows"], payload["weights"]
     if not isinstance(rows, list) or not isinstance(weights, list) or len(rows) != len(weights):
         raise ValueError("model file: weight_rows and weights must be lists of equal length")
@@ -640,6 +806,13 @@ def load_model(data: bytes) -> HierModel:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file: {exc}") from None
     rows = np.asarray(rows, dtype=np.int64)
+    bad = np.argwhere(~np.isfinite(W))
+    if bad.size:
+        r, j = bad[0]
+        raise ValueError(
+            f"model file: weight row {rows[r]} holds {W[r, j]} for label {labels[j]!r}, "
+            "not a finite number"
+        )
     order = np.argsort(rows)
     return HierModel(
         labels=tuple(labels),

@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import signal
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -535,7 +536,20 @@ def main(argv: list[str] | None = None, transport=None) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
+    """The console script: ``main``'s status as the exit status.
+
+    Ctrl-C prints one line instead of a traceback, then the process dies
+    by SIGINT as an uncaught KeyboardInterrupt makes it die (status 130
+    in a shell), so a calling shell or script sees the interrupt.
+    """
+    try:
+        status = main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr, flush=True)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        status = 128 + signal.SIGINT  # where the signal does not end the process
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

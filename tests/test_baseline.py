@@ -219,6 +219,81 @@ def test_loss_and_grad_is_a_column_of_the_trainer_gradient(case):
         assert gb == pytest.approx(gB[j], rel=1e-12, abs=0.0)
 
 
+@st.composite
+def _forward_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, k = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.sampled_from((1, 2, 6)))
+    X = rng.normal(size=(n, d))
+    X[rng.random((n, d)) < draw(st.sampled_from((0.0, 0.5, 0.95)))] = 0.0
+    # Empty rows, as a document with no feature gives, and empty columns.
+    X[rng.random(n) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    X[:, rng.random(d) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    Y = rng.integers(0, 2, size=(n, k)).astype(np.float64)
+    W = rng.normal(scale=draw(st.sampled_from((0.1, 1.0, 50.0))), size=(d, k))
+    # Signed zeros: x * -0.0 terms must leave each sum as the CSR product does.
+    W[rng.random((d, k)) < 0.2] = 0.0
+    W[rng.random((d, k)) < 0.2] = -0.0
+    B = rng.normal(size=k)
+    return sparse.csr_array(X), Y, W, B, draw(st.sampled_from((0.0, 1e-4, 0.1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forward_cases())
+def test_gradient_through_the_column_major_copy_is_bit_identical(case):
+    # train's forward product comes from a CSC copy; the gradient must be
+    # the row-major-only one bit for bit, signed zeros included.
+    X, Y, W, B, l2 = case
+    E = (expit(X @ W + B) - Y) / X.shape[0]
+    want = (X.T @ E + l2 * W, E.sum(axis=0))
+    got = baseline._gradient(X, Y, W, B, l2, X.tocsc())
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for a, b in zip(baseline._gradient(X, Y, W, B, l2), want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_SIGMOID_EXTREMES = [0.0, -0.0, 709.78, -709.78, 745.0, -745.0,
+                     float("inf"), -float("inf"), float("nan")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(-800.0, 800.0)), min_size=1, max_size=40))
+@example(_SIGMOID_EXTREMES)
+def test_sigmoid_is_scipy_expit_bit_for_bit(xs):
+    # Scores go through the C library's exp, as expit's do; a platform
+    # whose libm rounds differently fails here.
+    got = np.array([baseline._sigmoid(x) for x in xs])
+    assert np.array_equal(got.view(np.int64), expit(np.array(xs)).view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda k: st.tuples(
+    st.just(2**k), st.sets(st.integers(0, 2**k - 1)),
+    st.lists(st.integers(0, 2**k - 1), max_size=3 * 2**k))))
+def test_positions_by_map_and_by_search_agree(case):
+    # With no map allowance, a dimension above the index count takes the
+    # binary search; with the default one, every dimension here is mapped.
+    dimension, rows, indices = case
+    rows = np.array(sorted(rows), dtype=np.int64)
+    want = [int(np.searchsorted(rows, i)) if i in rows else -1 for i in indices]
+    for entries in (0, baseline._MAP_ENTRIES):
+        with mock.patch.object(baseline, "_MAP_ENTRIES", entries):
+            got = baseline._positions(rows, np.array(indices, dtype=np.int64), dimension, np.int32)
+        assert got.dtype == np.int32 and got.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forward_cases(), st.sampled_from((0, 1, 2**20)))
+def test_renumbering_keeps_every_used_column(case, entries):
+    X = case[0]
+    with mock.patch.object(baseline, "_MAP_ENTRIES", entries), \
+            mock.patch.object(baseline, "_RENUMBER_CHUNK", 7):
+        used, Xu = baseline._renumbered(X)
+    assert used.dtype == np.int64 and used.tolist() == sorted(set(X.indices.tolist()))
+    assert Xu.indices.dtype == np.int32
+    assert np.array_equal(Xu.toarray(), X.toarray()[:, used])
+
+
 def test_loss_agrees_between_sparse_and_dense():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(6, 4))

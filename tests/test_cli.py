@@ -307,6 +307,45 @@ def test_predict_incomplete_model_file_is_validation_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("saved")
+    corpus, model = _write_mem_corpus(tmp), str(tmp / "model.json")
+    assert main(["train", "--hierarchy", WORKED_H, "--corpus", corpus,
+                 "--dim", "1024", "--epochs", "5", "--out", model]) == 0
+    return corpus, read_text(model)
+
+
+_NOT_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("key,value", [
+    *[("thresholds", v) for v in _NOT_FINITE + [0.0, 1.0, 1.5]],
+    *[("bias", v) for v in _NOT_FINITE],
+    *[("weights", v) for v in _NOT_FINITE],
+])
+def test_predict_refuses_a_model_number_out_of_range(tmp_path, capsys, saved_model, key, value):
+    # A NaN threshold used to load, and predict then gave every instance
+    # no label with status 0.
+    corpus, text = saved_model
+    payload = json.loads(text)
+    if key == "weights":
+        payload["weights"][-1][-1] = value
+        named = f"weight row {payload['weight_rows'][-1]}"
+    else:
+        payload[key][-1] = value
+        named = f"label {payload['labels'][-1]!r}"
+    model = write(tmp_path / "bad.json", json.dumps(payload))
+    out = str(tmp_path / "p.json")
+    rc = main(["predict", "--model", model, "--hierarchy", WORKED_H,
+               "--corpus", corpus, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file: ") and named in err, err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 HUGE_DIM = 2**63  # a power of two whose bucket indices overflow int64
 
 
@@ -447,6 +486,129 @@ def test_interrupted_train_stops_promptly_and_writes_nothing(tmp_path):
     assert "KeyboardInterrupt" in stderr
     assert elapsed < 5.0
     assert list(tmp_path.iterdir()) == []
+
+
+# Runs the CLI as ``python -m persuasionkit`` does, descending on two
+# threads whatever the machine, and prints the descent threads still
+# alive on stderr once main returns or raises.  A head sets up when to
+# print "stepped" on stdout.
+_RUN_CLI = """
+from persuasionkit import baseline, cli
+main = cli.main
+def checked(argv=None):
+    try:
+        return main(argv)
+    finally:
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("descent")]
+        print(f"descent threads alive: {alive}", file=sys.stderr, flush=True)
+baseline._cpu_count, cli.main = lambda: 2, checked
+runpy.run_module("persuasionkit", run_name="__main__", alter_sys=True)
+"""
+
+# "stepped" once any thread has taken a gradient step.
+_AFTER_FIRST_STEP = """
+import runpy, sys, threading
+from persuasionkit import baseline
+gradient, lock, steps = baseline._gradient, threading.Lock(), []
+def announce(*args):
+    out = gradient(*args)
+    with lock:
+        if not steps:
+            steps.append(None)
+            print("stepped", flush=True)
+    return out
+baseline._gradient = announce
+""" + _RUN_CLI
+
+# "stepped" from inside the start of the second descent thread, once it
+# runs, and a second's wait there: a KeyboardInterrupt raised in that
+# wait would leave the thread outside the pool, unjoined.  Its epochs
+# take a second each, so it would still be descending after train.
+_INSIDE_THREAD_START = """
+import runpy, sys, threading, time
+from persuasionkit import baseline
+start, started, gradient = threading.Thread.start, [], baseline._gradient
+def slow_start(self):
+    start(self)
+    if self.name.startswith("descent"):
+        started.append(self)
+        if len(started) == 2:
+            print("stepped", flush=True)
+            time.sleep(1.0)
+def slow_gradient(*args):
+    if threading.current_thread() is started[-1]:
+        time.sleep(1.0)
+    return gradient(*args)
+threading.Thread.start, baseline._gradient = slow_start, slow_gradient
+""" + _RUN_CLI
+
+
+def _interrupt_train(out_dirs, script, *flags):
+    """SIGINT to one 10^6-epoch ``persuasionkit train`` per directory, run
+    side by side under ``script``, as soon as each prints "stepped";
+    returns (status, stderr, seconds to exit, files in its directory) per
+    run."""
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    procs = [subprocess.Popen(
+        [sys.executable, *flags, "-c", script, "train", "--hierarchy", SYNTHETIC_H,
+         "--corpus", os.path.join(SYNTHETIC, "train.json"), "--epochs", str(10**6),
+         "--out", str(out_dir / "model.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) for out_dir in out_dirs]
+    results, waiting, signalled = [], {proc.stdout: proc for proc in procs}, {}
+    try:
+        while waiting:
+            ready = select.select(list(waiting), [], [], 60)[0]
+            assert ready, "no gradient step"
+            for stdout in ready:
+                assert stdout.readline() == "stepped\n"
+                waiting.pop(stdout).send_signal(signal.SIGINT)
+                signalled[stdout] = time.monotonic()
+        for proc, out_dir in zip(procs, out_dirs):
+            _, stderr = proc.communicate(timeout=60)
+            elapsed = time.monotonic() - signalled[proc.stdout]
+            results.append((proc.returncode, stderr, elapsed, list(out_dir.iterdir())))
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
+    return results
+
+
+def test_ctrl_c_in_train_prints_one_line_and_dies_by_sigint(tmp_path):
+    [(status, stderr, elapsed, files)] = _interrupt_train([tmp_path], _AFTER_FIRST_STEP)
+    assert status == -signal.SIGINT, stderr
+    assert "Traceback" not in stderr
+    assert stderr.endswith("descent threads alive: []\ninterrupted\n"), stderr
+    assert elapsed < 5.0
+    assert files == []
+
+
+def test_no_descent_thread_outlives_an_interrupted_train(tmp_path):
+    # A SIGINT right after the first gradient step of any thread can land
+    # while the other group's thread is being started.  20 runs, two at a
+    # time.
+    for pair in range(10):
+        out_dirs = [tmp_path / f"{pair}-{k}" for k in range(2)]
+        for out_dir in out_dirs:
+            out_dir.mkdir()
+        for status, stderr, elapsed, files in _interrupt_train(
+                out_dirs, _AFTER_FIRST_STEP, "-X", "dev"):
+            assert status == -signal.SIGINT, stderr
+            assert "Traceback" not in stderr
+            assert "descent threads alive: []\n" in stderr
+            assert elapsed < 5.0
+            assert files == []
+    # The same signal, sent while a descent thread is being started.
+    (tmp_path / "starting").mkdir()
+    [(status, stderr, elapsed, files)] = _interrupt_train(
+        [tmp_path / "starting"], _INSIDE_THREAD_START, "-X", "dev")
+    assert status == -signal.SIGINT, stderr
+    assert stderr.endswith("descent threads alive: []\ninterrupted\n"), stderr
+    assert elapsed < 5.0
+    assert files == []
 
 
 def test_predict_counts_caption_less_instances(tmp_path, caplog):
@@ -685,12 +847,16 @@ def test_caption_eval_report_equals_reference_kernels(tmp_path, capsys, monkeypa
 
 
 def test_commands_that_do_not_train_never_load_scipy(tmp_path):
-    # Only train and predict need scipy, and only a caption run against a
-    # real endpoint needs requests (and urllib3 under it); every other
-    # command must run without importing them.
+    # Only train needs scipy, and only a caption run against a real
+    # endpoint needs requests (and urllib3 under it); every other command
+    # must run without importing them.
     gold = os.path.join(SYNTHETIC, "heldout.json")
     pred = write(tmp_path / "pred.json", json.dumps(
         [{"id": r["id"], "labels": r["labels"][:1]} for r in read_json(gold)]))
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--hierarchy", SYNTHETIC_H, "--corpus",
+                 os.path.join(SYNTHETIC, "train.json"), "--dim", "1024",
+                 "--epochs", "5", "--out", model]) == 0
     commands = [
         ["validate", "--hierarchy", WORKED_H, "--gold", WORKED_GOLD, "--pred", WORKED_PRED],
         ["score", "--task", "hier", "--hierarchy", SYNTHETIC_H, "--gold", gold,
@@ -700,6 +866,8 @@ def test_commands_that_do_not_train_never_load_scipy(tmp_path):
          "--out", str(tmp_path / "binary.json")],
         ["caption-eval", "--candidates", PROMPT_PRIMARY, "--references", PROMPT_FALLBACK,
          "--out", str(tmp_path / "eval.json")],
+        ["predict", "--model", model, "--hierarchy", SYNTHETIC_H, "--corpus", gold,
+         "--out", str(tmp_path / "predicted.json")],
     ]
     script = (
         "import json, sys\n"
