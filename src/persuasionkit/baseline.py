@@ -73,7 +73,7 @@ _SCORE_BLOCK = 1024
 # map, which bounds the temporaries.
 _RENUMBER_CHUNK = 2**16
 
-# A bucket map (see _positions) is built when the dimension is at most
+# A bucket map (see _renumber) is built when the dimension is at most
 # this, or at most the number of indices it renumbers: so it never takes
 # more than 8 MB or the size of the indices.
 _MAP_ENTRIES = 2**20
@@ -113,8 +113,14 @@ class TrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate <= 0 or self.l2 < 0:
-            raise ValueError("bad training hyperparameters")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, not {self.epochs}")
+        # Chained comparisons are false for NaN, which would train to NaN.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning rate must be a finite number above 0, not {self.learning_rate}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be a finite number >= 0, not {self.l2}")
 
 
 # One memo per (dimension, tag), from a raw n-gram to its bucket and sign;
@@ -217,24 +223,16 @@ class HierModel:
     def weights(self) -> np.ndarray:
         """The dense ``(dimension, n_labels)`` weight matrix, built anew on
         each access; raises ValueError when it cannot be allocated."""
-        W = _zero_weights(self.feature_config.dimension, len(self.labels))
+        dimension, n_labels = self.feature_config.dimension, len(self.labels)
+        try:
+            W = np.zeros((dimension, n_labels), dtype=np.float64)
+        except (MemoryError, ValueError):
+            raise ValueError(
+                f"feature dimension {dimension} is too large: its ({dimension}, {n_labels}) "
+                "weight matrix cannot be allocated"
+            ) from None
         W[self.weight_rows] = self.row_weights
         return W
-
-
-def _zero_weights(dimension: int, n_labels: int) -> np.ndarray:
-    """The dense ``(dimension, n_labels)`` weight matrix, all zeros.
-
-    Raises ValueError naming the dimension when the matrix cannot be
-    allocated, instead of numpy's MemoryError.
-    """
-    try:
-        return np.zeros((dimension, n_labels), dtype=np.float64)
-    except (MemoryError, ValueError):
-        raise ValueError(
-            f"feature dimension {dimension} is too large: its ({dimension}, {n_labels}) "
-            "weight matrix cannot be allocated"
-        ) from None
 
 
 def _gradient(
@@ -309,42 +307,38 @@ def _design_arrays(
             np.frombuffer(indptr, dtype=np.int64))
 
 
-def _design_matrix(instances: Sequence[MemeInstance], cfg: FeatureConfig) -> "sparse.csr_array":
-    """:func:`_design_arrays` as a CSR matrix with ``cfg.dimension`` columns."""
-    from scipy import sparse
+def _renumber(
+    indices: np.ndarray, dimension: int, rows: np.ndarray | None = None, dtype=np.int64
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, positions)``: the ascending bucket indices ``rows``, by
+    default every bucket in ``indices``, and each of ``indices``' position
+    in ``rows`` as ``dtype``, or -1 where it is not one of them.
 
-    X = sparse.csr_array(_design_arrays(instances, cfg), shape=(len(instances), cfg.dimension))
-    # Ascending columns per row, as a COO -> CSR build leaves them: descent
-    # sums in this order, so the model bytes depend on it.
-    X.sort_indices()
-    return X
-
-
-def _mapped(dimension: int, n_indices: int) -> bool:
-    """Whether to renumber ``n_indices`` indices through a map from every
-    one of ``dimension`` buckets, whose memory is then bounded."""
-    return dimension <= max(n_indices, _MAP_ENTRIES)
-
-
-def _positions(rows: np.ndarray, indices: np.ndarray, dimension: int, dtype) -> np.ndarray:
-    """Each of ``indices``' position in the ascending bucket indices
-    ``rows``, or -1 where it is not one of them.
-
-    Looked up in a map from every bucket when :func:`_mapped` allows it;
-    otherwise found by binary search, ``_RENUMBER_CHUNK`` indices at a
+    When ``dimension`` is at most ``max(indices.size, _MAP_ENTRIES)``,
+    both come from a map from every bucket, whose memory is then bounded.
+    Otherwise ``rows`` are the union of each chunk's unique indices and the
+    positions are found by binary search, ``_RENUMBER_CHUNK`` indices at a
     time, so no temporary grows with ``dimension``.
     """
-    if _mapped(dimension, indices.size):
+    if dimension <= max(indices.size, _MAP_ENTRIES):
         where = np.full(dimension, -1, dtype=dtype)
+        if rows is None:
+            where[indices] = 0
+            rows = np.flatnonzero(where == 0)
         where[rows] = np.arange(rows.size, dtype=dtype)
-        return where[indices]
-    out = np.empty(indices.size, dtype=dtype)
+        return rows, where[indices]
+    if rows is None:
+        rows = np.unique(np.concatenate(
+            [np.unique(indices[s : s + _RENUMBER_CHUNK])
+             for s in range(0, indices.size, _RENUMBER_CHUNK)] or [[]]
+        )).astype(np.int64)
+    positions = np.empty(indices.size, dtype=dtype)
     for s in range(0, indices.size, _RENUMBER_CHUNK):
         chunk = indices[s : s + _RENUMBER_CHUNK]
         pos = np.searchsorted(rows, chunk)
-        out[s : s + _RENUMBER_CHUNK] = np.where(
+        positions[s : s + _RENUMBER_CHUNK] = np.where(
             np.searchsorted(rows, chunk, side="right") > pos, pos, -1)
-    return out
+    return rows, positions
 
 
 def _onto_rows(
@@ -361,7 +355,7 @@ def _onto_rows(
     running sum that starts at +0.0 never changes it: the two products
     are equal bit for bit.
     """
-    pos = _positions(rows, indices, dimension, np.int64)
+    pos = _renumber(indices, dimension, rows)[1]
     keep = pos >= 0
     if not keep.all():
         data, pos = data[keep], pos[keep]
@@ -454,34 +448,6 @@ def _descend(
     B[heads] = Bg
 
 
-def _renumbered(X: "sparse.csr_array") -> tuple[np.ndarray, "sparse.csr_array"]:
-    """``(used, Xu)``: the ascending columns some row of ``X`` uses, and
-    ``X`` on those columns alone, its indices renumbered onto them.
-
-    int32 indices halve the index memory and give the same products.  No
-    temporary grows with the dimension beyond the bound :func:`_mapped`
-    sets.
-    """
-    from scipy import sparse
-
-    if _mapped(X.shape[1], X.nnz):
-        seen = np.zeros(X.shape[1], dtype=bool)
-        seen[X.indices] = True
-        used = np.flatnonzero(seen)
-    else:
-        used = np.unique(np.concatenate(
-            [np.unique(X.indices[s : s + _RENUMBER_CHUNK])
-             for s in range(0, X.nnz, _RENUMBER_CHUNK)] or [[]]
-        )).astype(np.int64)
-    index = np.int32 if X.nnz < 2**31 else np.int64
-    Xu = sparse.csr_array(
-        (X.data, _positions(used, X.indices, X.shape[1], index),
-         X.indptr.astype(index, copy=False)),
-        shape=(X.shape[0], used.size),
-    )
-    return used, Xu
-
-
 @contextmanager
 def _interrupt_sets(stop: threading.Event):
     """Within the block, Ctrl-C sets ``stop`` instead of raising, and
@@ -537,11 +503,25 @@ def train(
     In the main thread, Ctrl-C only sets that stop, and ``train`` raises
     KeyboardInterrupt once every group has stopped.
     """
+    from scipy import sparse
+
     fcfg = feature_config or FeatureConfig()
     tcfg = train_config or TrainConfig()
     Y = _gold_rows(corpus, h, "training").astype(np.float64)
     labels = h.labels
-    X = _design_matrix(corpus, fcfg)
+    X = sparse.csr_array(_design_arrays(corpus, fcfg), shape=(len(corpus), fcfg.dimension))
+    # Ascending columns per row, as a COO -> CSR build leaves them: descent
+    # sums in this order, so the model bytes depend on it.  Sorted first,
+    # the binary search in _renumber also runs faster.
+    X.sort_indices()
+    # A column no document touches starts at 0 and the L2 update keeps it
+    # there, so the model is exact on the used columns alone.  int32
+    # indices halve the index memory and give the same products.
+    index = np.int32 if X.nnz < 2**31 else np.int64
+    used, pos = _renumber(X.indices, fcfg.dimension, dtype=index)
+    Xu = sparse.csr_array((X.data, pos, X.indptr.astype(index, copy=False)),
+                          shape=(len(corpus), used.size))
+    del X
 
     positives = Y.sum(axis=0)
     trainable = positives > 0
@@ -552,10 +532,6 @@ def train(
     B = np.zeros(len(labels), dtype=np.float64)
     B[~trainable] = _NEGATIVE_BIAS
 
-    # A column no document touches starts at 0 and the L2 update keeps it
-    # there, so the model is exact on the used columns alone.
-    used, Xu = _renumbered(X)
-    del X
     W = np.zeros((used.size, len(labels)), dtype=np.float64)
     active = np.flatnonzero(trainable)
     if active.size:

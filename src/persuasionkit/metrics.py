@@ -98,8 +98,8 @@ def fbeta(precision: float, recall: float, beta: float = 1.0) -> float:
     the harmonic mean.  Equal arguments come back up to rounding:
     ``fbeta(0.1, 0.1)`` is 0.10000000000000002.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be a finite number >= 0, not {beta}")
     denom = beta * beta * precision + recall
     if denom == 0.0:
         return 0.0
@@ -121,10 +121,16 @@ def _closed_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed gold and pred rows, one per gold id in ``gold``'s order.
 
-    Ids missing from ``pred`` close to empty rows.  Sets are closed in the
-    order gold[id], pred[id], id by id, and an error is prefixed with the
-    name of the first offending set.
+    Ids missing from ``pred`` close to empty rows.  Raises ValueError for
+    an empty ``gold`` or a ``pred`` id not in ``gold``.  Sets are closed in
+    the order gold[id], pred[id], id by id, and an error is prefixed with
+    the name of the first offending set.
     """
+    if not gold:
+        raise ValueError("empty corpus: no gold instances")
+    extra = sorted(set(pred) - set(gold))
+    if extra:
+        raise ValueError(f"prediction ids not present in gold: {extra[:5]}")
     where = ""
 
     def sets():
@@ -153,11 +159,6 @@ def hierarchical_tallies(
     order.  Ids missing from ``pred`` count as empty predictions; the
     validation and errors are those of :func:`hierarchical_score`.
     """
-    if not gold:
-        raise ValueError("empty corpus: no gold instances")
-    extra = sorted(set(pred) - set(gold))
-    if extra:
-        raise ValueError(f"prediction ids not present in gold: {extra[:5]}")
     G, P = _closed_rows(h, gold, pred)
     tallies = np.stack([(G & P).sum(axis=1), P.sum(axis=1), G.sum(axis=1)], axis=1)
     ids = list(gold)
@@ -222,7 +223,8 @@ def per_class_hierarchical_diagnostics(
     """Per-label tp/fp/fn over extended sets, for every non-root label.
 
     Labels untouched by both sides get an explicit (0, 0, 0) row.  The tp
-    column sums to the overlap total of :func:`hierarchical_score`.
+    column sums to the overlap total of :func:`hierarchical_score`, whose
+    validation and errors it shares.
     """
     G, P = _closed_rows(h, gold, pred)
     tp = (G & P).sum(axis=0)

@@ -186,6 +186,28 @@ def dense_descent(X, Y: np.ndarray, epochs: int, learning_rate: float, l2: float
     return W, B
 
 
+def design_matrix(instances, cfg):
+    """Reference design matrix: one CSR row per instance, straight from its
+    :func:`featurize` dict with the keys sorted, ``cfg.dimension`` columns
+    wide."""
+    from scipy import sparse
+
+    from persuasionkit.baseline import featurize
+
+    data, indices, indptr = [], [], [0]
+    for inst in instances:
+        vec = featurize(inst.text, inst.caption, cfg)
+        for i in sorted(vec):
+            indices.append(i)
+            data.append(vec[i])
+        indptr.append(len(indices))
+    return sparse.csr_array(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(instances), cfg.dimension),
+    )
+
+
 # -- features and scores -------------------------------------------------------
 
 def _reference_hash_feature(feature: str, dim: int) -> tuple[int, float]:

@@ -37,6 +37,7 @@ from persuasionkit.metrics import hierarchical_score
 
 from oracles import (
     dense_descent,
+    design_matrix,
     fd_gradient,
     reference_featurize,
     reference_instance_scores,
@@ -166,8 +167,15 @@ def test_feature_config_validation():
         FeatureConfig(dimension=1000)
     with pytest.raises(ValueError, match="mode"):
         FeatureConfig(mode="caption-only")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=bad)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="l2"):
+            TrainConfig(l2=bad)
+    TrainConfig(learning_rate=1e300, l2=0.0)
 
 
 # -- objective ---------------------------------------------------------------
@@ -278,7 +286,9 @@ def test_positions_by_map_and_by_search_agree(case):
     want = [int(np.searchsorted(rows, i)) if i in rows else -1 for i in indices]
     for entries in (0, baseline._MAP_ENTRIES):
         with mock.patch.object(baseline, "_MAP_ENTRIES", entries):
-            got = baseline._positions(rows, np.array(indices, dtype=np.int64), dimension, np.int32)
+            got_rows, got = baseline._renumber(
+                np.array(indices, dtype=np.int64), dimension, rows, np.int32)
+        assert got_rows is rows
         assert got.dtype == np.int32 and got.tolist() == want
 
 
@@ -288,10 +298,9 @@ def test_renumbering_keeps_every_used_column(case, entries):
     X = case[0]
     with mock.patch.object(baseline, "_MAP_ENTRIES", entries), \
             mock.patch.object(baseline, "_RENUMBER_CHUNK", 7):
-        used, Xu = baseline._renumbered(X)
+        used, pos = baseline._renumber(X.indices, X.shape[1], dtype=np.int32)
     assert used.dtype == np.int64 and used.tolist() == sorted(set(X.indices.tolist()))
-    assert Xu.indices.dtype == np.int32
-    assert np.array_equal(Xu.toarray(), X.toarray()[:, used])
+    assert pos.dtype == np.int32 and np.array_equal(used[pos], X.indices)
 
 
 def test_loss_agrees_between_sparse_and_dense():
@@ -387,7 +396,7 @@ def test_training_matches_dense_reference_bit_for_bit(case):
     model = train(corpus, H, fcfg, tcfg)
     Y = np.array([[lab in H.extend(d.gold) for lab in model.labels] for d in corpus],
                  dtype=np.float64)
-    W, B = dense_descent(baseline._design_matrix(corpus, fcfg), Y,
+    W, B = dense_descent(design_matrix(corpus, fcfg), Y,
                          tcfg.epochs, tcfg.learning_rate, tcfg.l2)
     assert np.array_equal(model.weights, W)
     assert np.array_equal(model.bias, B)
@@ -414,7 +423,7 @@ def _wide_training_cases(draw):
 def test_training_is_bit_identical_at_every_worker_count(case):
     h, corpus, fcfg, tcfg = case
     Y = h.closed_rows(d.gold for d in corpus).astype(np.float64)
-    W, B = dense_descent(baseline._design_matrix(corpus, fcfg), Y,
+    W, B = dense_descent(design_matrix(corpus, fcfg), Y,
                          tcfg.epochs, tcfg.learning_rate, tcfg.l2)
     for workers in (1, 2, 3, 4):
         with mock.patch.object(baseline, "_cpu_count", return_value=workers):
@@ -432,7 +441,7 @@ def test_more_head_groups_than_cores_match_the_reference():
               for i in range(3 * len(labels))]
     fcfg, tcfg = FeatureConfig(dimension=2**10), TrainConfig(epochs=30)
     Y = SUBTASK2A.closed_rows(d.gold for d in corpus).astype(np.float64)
-    W, B = dense_descent(baseline._design_matrix(corpus, fcfg), Y,
+    W, B = dense_descent(design_matrix(corpus, fcfg), Y,
                          tcfg.epochs, tcfg.learning_rate, tcfg.l2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -607,7 +616,7 @@ def test_sparse_rows_score_like_the_dense_matrix(case):
     # Dropping the columns the model lacks drops only x * 0.0 terms, which
     # leave the CSR product's running sum unchanged: no tolerance.
     model, corpus, rng = case
-    X = baseline._design_matrix(corpus, model.feature_config)
+    X = design_matrix(corpus, model.feature_config)
     want = expit(X @ model.weights + model.bias)
     assert np.array_equal(baseline._score_matrix(model, corpus), want)
     payload = json.loads(save_model(model))

@@ -150,6 +150,17 @@ def test_score_hier_requires_hierarchy(capsys):
     assert "--hierarchy is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_score_refuses_a_beta_that_is_not_finite(tmp_path, capsys, beta):
+    out = str(tmp_path / "report.json")
+    rc = main(["score", "--task", "hier", "--hierarchy", WORKED_H, "--beta", beta,
+               "--gold", WORKED_GOLD, "--pred", WORKED_PRED, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "beta must be a finite number" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_score_binary_fixture(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     rc = main(["score", "--task", "binary",
@@ -376,6 +387,22 @@ def test_train_huge_dimension_is_validation_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: feature dimension {HUGE_DIM} is too large")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--lr", "nan", "learning rate"), ("--lr", "inf", "learning rate"),
+    ("--l2", "nan", "l2"), ("--l2", "inf", "l2"),
+])
+def test_train_refuses_a_hyperparameter_that_is_not_finite(tmp_path, capsys, flag, value, name):
+    corpus = _write_mem_corpus(tmp_path)
+    out = str(tmp_path / "model.json")
+    rc = main(["train", "--hierarchy", WORKED_H, "--corpus", corpus,
+               "--dim", "1024", flag, value, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a finite number") and value in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 

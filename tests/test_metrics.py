@@ -69,10 +69,11 @@ def test_missing_and_extra_prediction_ids(worked):
     )
     assert s.missing_pred_ids == ("b",)
     assert s.hp == 1.0 and s.hr == 0.5
-    with pytest.raises(ValueError, match="not present in gold"):
-        hierarchical_score(worked, {"a": {"Pathos"}}, {"a": set(), "zz": set()})
-    with pytest.raises(ValueError, match="empty corpus"):
-        hierarchical_score(worked, {}, {})
+    for score in (hierarchical_score, per_class_hierarchical_diagnostics):
+        with pytest.raises(ValueError, match="not present in gold"):
+            score(worked, {"a": {"Pathos"}}, {"a": set(), "zz": {"Pathos"}})
+        with pytest.raises(ValueError, match="empty corpus"):
+            score(worked, {}, {})
 
 
 def test_sides_are_extended_before_arithmetic(worked):
@@ -156,8 +157,9 @@ def test_fbeta_worked_values():
     assert fbeta(1.0, 0.5, 1.0) == pytest.approx(2 / 3, abs=1e-12)
     assert fbeta(0.25, 0.25, 3.7) == 0.25  # equal args are a fixed point
     assert fbeta(0.0, 0.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        fbeta(0.5, 0.5, -1.0)
+    for beta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            fbeta(0.5, 0.5, beta)
 
 
 @given(
