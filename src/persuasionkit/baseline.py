@@ -102,6 +102,10 @@ class FeatureConfig:
                 f"feature dimension {self.dimension} is too large: bucket indices must "
                 "fit a signed 64-bit integer, so it may be at most 2**62"
             )
+        for name in ("word_orders", "char_orders"):
+            orders = getattr(self, name)  # a bool is not an order
+            if not all(type(n) is int and n >= 1 for n in orders):
+                raise ValueError(f"{name} must be integers of at least 1, not {orders!r}")
         if self.mode not in (MODE_TEXT, MODE_TEXT_CAPTION):
             raise ValueError(f"mode must be {MODE_TEXT!r} or {MODE_TEXT_CAPTION!r}")
 
@@ -288,25 +292,6 @@ def loss_and_grad(
     return loss, grad_w.ravel(), float(grad_b[0])
 
 
-def _design_arrays(
-    instances: Sequence[MemeInstance], cfg: FeatureConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The instances' :func:`featurize` vectors as CSR arrays ``(data,
-    indices, indptr)``, one row per instance, each row's int64 bucket
-    indices in :func:`featurize`'s key order."""
-    # Flat typed buffers rather than one Python object per non-zero.
-    cols = array("q")
-    vals = array("d")
-    indptr = array("q", [0])
-    for inst in instances:
-        vec = featurize(inst.text, inst.caption, cfg)
-        cols.extend(vec.keys())
-        vals.extend(vec.values())
-        indptr.append(len(cols))
-    return (np.frombuffer(vals, dtype=np.float64), np.frombuffer(cols, dtype=np.int64),
-            np.frombuffer(indptr, dtype=np.int64))
-
-
 def _renumber(
     indices: np.ndarray, dimension: int, rows: np.ndarray | None = None, dtype=np.int64
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +303,8 @@ def _renumber(
     both come from a map from every bucket, whose memory is then bounded.
     Otherwise ``rows`` are the union of each chunk's unique indices and the
     positions are found by binary search, ``_RENUMBER_CHUNK`` indices at a
-    time, so no temporary grows with ``dimension``.
+    time, so no temporary grows with ``dimension``.  ``indices`` need not
+    be sorted.
     """
     if dimension <= max(indices.size, _MAP_ENTRIES):
         where = np.full(dimension, -1, dtype=dtype)
@@ -332,39 +318,60 @@ def _renumber(
             [np.unique(indices[s : s + _RENUMBER_CHUNK])
              for s in range(0, indices.size, _RENUMBER_CHUNK)] or [[]]
         )).astype(np.int64)
-    positions = np.empty(indices.size, dtype=dtype)
-    for s in range(0, indices.size, _RENUMBER_CHUNK):
+    positions = np.full(indices.size, -1, dtype=dtype)
+    # With no rows, every position is -1, and there is nothing to take.
+    for s in range(0, indices.size if rows.size else 0, _RENUMBER_CHUNK):
         chunk = indices[s : s + _RENUMBER_CHUNK]
         pos = np.searchsorted(rows, chunk)
         positions[s : s + _RENUMBER_CHUNK] = np.where(
-            np.searchsorted(rows, chunk, side="right") > pos, pos, -1)
+            rows.take(pos, mode="clip") == chunk, pos, -1)
     return rows, positions
 
 
-def _onto_rows(
-    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray, dimension: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays' columns renumbered onto the ascending bucket indices
-    ``rows``, with the columns not in ``rows`` dropped and each row's
-    columns sorted ascending.
+def _design(
+    instances: Sequence[MemeInstance], cfg: FeatureConfig, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, data, positions, indptr)``: the instances' :func:`featurize`
+    vectors as CSR arrays, one row per instance, with each bucket
+    renumbered by :func:`_renumber` to its position in the ascending
+    bucket indices ``rows`` (by default every bucket the instances use),
+    the buckets not in ``rows`` dropped, and each row's columns sorted
+    ascending.  The indices are int32 when they fit, int64 otherwise.
 
-    So the renumbered matrix times ``row_weights`` adds the same products
-    in the same order as ``X @ W``, for ``X`` with sorted rows and the
-    dense ``W`` that is zero off ``rows``, less the dropped terms.  Each
-    of those is ``x * 0.0``, a signed zero, and adding a signed zero to a
-    running sum that starts at +0.0 never changes it: the two products
-    are equal bit for bit.
+    Descent and scoring both multiply these arrays, so both add each
+    row's terms in ascending bucket order; the model bytes and the scores
+    depend on that order.  Against the dense ``W`` that is zero off
+    ``rows``, the dropped terms are each ``x * 0.0``, a signed zero, and
+    adding a signed zero to a running sum that starts at +0.0 never
+    changes it: the product with the rows' weights is equal bit for bit
+    to ``X @ W``.
     """
-    pos = _renumber(indices, dimension, rows)[1]
+    # Flat typed buffers rather than one Python object per non-zero.
+    cols, vals, ends = array("q"), array("d"), array("q", [0])
+    for inst in instances:
+        # Through the module name, which a tracer may wrap.
+        vec = featurize(inst.text, inst.caption, cfg)
+        cols.extend(vec.keys())
+        vals.extend(vec.values())
+        ends.append(len(cols))
+    data = np.frombuffer(vals, dtype=np.float64)
+    indptr = np.frombuffer(ends, dtype=np.int64)
+    index = np.int32 if max(len(cols), 0 if rows is None else rows.size) < 2**31 else np.int64
+    rows, pos = _renumber(np.frombuffer(cols, dtype=np.int64), cfg.dimension, rows, index)
     keep = pos >= 0
     if not keep.all():
         data, pos = data[keep], pos[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
     # A row's buckets are distinct, so its (row, position) keys are too.
-    # They stay far below 2**63: a block has at most _SCORE_BLOCK rows.
-    key = np.repeat(np.arange(indptr.size - 1), np.diff(indptr)) * rows.size + pos
-    order = np.argsort(key)
-    return data[order], pos[order], indptr
+    # Sorted a block of rows at a time, the keys stay far below 2**63.
+    for s in range(0, len(instances), _SCORE_BLOCK):
+        bounds = indptr[s : s + _SCORE_BLOCK + 1]
+        block = slice(bounds[0], bounds[-1])
+        key = np.repeat(np.arange(bounds.size - 1) * rows.size, np.diff(bounds))
+        key += pos[block]
+        order = np.argsort(key)
+        data[block], pos[block] = data[block][order], pos[block][order]
+    return rows, data, pos, indptr.astype(index)
 
 
 def _product(
@@ -509,19 +516,10 @@ def train(
     tcfg = train_config or TrainConfig()
     Y = _gold_rows(corpus, h, "training").astype(np.float64)
     labels = h.labels
-    X = sparse.csr_array(_design_arrays(corpus, fcfg), shape=(len(corpus), fcfg.dimension))
-    # Ascending columns per row, as a COO -> CSR build leaves them: descent
-    # sums in this order, so the model bytes depend on it.  Sorted first,
-    # the binary search in _renumber also runs faster.
-    X.sort_indices()
     # A column no document touches starts at 0 and the L2 update keeps it
-    # there, so the model is exact on the used columns alone.  int32
-    # indices halve the index memory and give the same products.
-    index = np.int32 if X.nnz < 2**31 else np.int64
-    used, pos = _renumber(X.indices, fcfg.dimension, dtype=index)
-    Xu = sparse.csr_array((X.data, pos, X.indptr.astype(index, copy=False)),
-                          shape=(len(corpus), used.size))
-    del X
+    # there, so the model is exact on the used columns alone.
+    used, data, pos, indptr = _design(corpus, fcfg)
+    Xu = sparse.csr_array((data, pos, indptr), shape=(len(corpus), used.size))
 
     positives = Y.sum(axis=0)
     trainable = positives > 0
@@ -563,10 +561,18 @@ def train(
 
 
 def _check_hierarchy(model: HierModel, h: LabelHierarchy):
+    """Refuse a model trained against another hierarchy, or whose heads
+    are not ``h.labels`` in that order, as ``train`` writes them: so head
+    ``j`` closes through row ``j`` of ``h.closure``."""
     if h.fingerprint() != model.hierarchy_fingerprint:
         raise ValueError(
             "hierarchy fingerprint mismatch: the model was trained against a "
             "different hierarchy"
+        )
+    if model.labels != h.labels:
+        raise ValueError(
+            "model labels do not match the hierarchy: a model's heads must be the "
+            "hierarchy's non-root labels in sorted order"
         )
 
 
@@ -577,16 +583,15 @@ def _score_matrix(model: HierModel, corpus: Sequence[MemeInstance]) -> np.ndarra
     for bit to scipy's CSR product and ``scipy.special.expit``: each row
     adds its terms one after another in ascending column order, with no
     BLAS call, so the scores do not depend on the CPU's BLAS kernel or on
-    how many instances are scored together.  It is computed on the rows
-    ``_onto_rows`` keeps, which is equal bit for bit, over blocks of at
-    most ``_SCORE_BLOCK`` instances.
+    how many instances are scored together.  It is computed on the model's
+    weight rows alone, which :func:`_design` shows is equal bit for bit,
+    over blocks of at most ``_SCORE_BLOCK`` instances.
     """
     S = np.empty((len(corpus), len(model.labels)), dtype=np.float64)
     for start in range(0, len(corpus), _SCORE_BLOCK):
         block = corpus[start : start + _SCORE_BLOCK]
-        arrays = _onto_rows(*_design_arrays(block, model.feature_config), model.weight_rows,
-                            model.feature_config.dimension)
-        Z = _product(*arrays, model.row_weights)
+        Z = _product(*_design(block, model.feature_config, model.weight_rows)[1:],
+                     model.row_weights)
         Z += model.bias
         S[start : start + len(block)] = np.fromiter(
             map(_sigmoid, Z.ravel().tolist()), dtype=np.float64, count=Z.size
@@ -594,16 +599,10 @@ def _score_matrix(model: HierModel, corpus: Sequence[MemeInstance]) -> np.ndarra
     return S
 
 
-def _head_closure(model: HierModel, h: LabelHierarchy) -> np.ndarray:
-    # Row j: the closed label set, over h.labels, that a positive head j
-    # contributes.
-    return h.closed_rows([label] for label in model.labels)
-
-
 def _predicted_sets(
     model: HierModel, h: LabelHierarchy, corpus: Sequence[MemeInstance]
 ) -> list[frozenset[str]]:
-    closed = (_score_matrix(model, corpus) > model.thresholds) @ _head_closure(model, h)
+    closed = (_score_matrix(model, corpus) > model.thresholds) @ h.closure
     labels = np.array(h.labels, dtype=object)
     return [frozenset(labels[row]) for row in closed]
 
@@ -619,7 +618,8 @@ def predict(model: HierModel, h: LabelHierarchy, inst: MemeInstance) -> frozense
     so both give the same set bit for bit.
 
     May be empty.  Refuses a hierarchy whose fingerprint differs from the
-    one the model was trained against.
+    one the model was trained against, and a model whose labels are not
+    ``h.labels`` in order.
     """
     _check_hierarchy(model, h)
     return _predicted_sets(model, h, [inst])[0]
@@ -654,11 +654,10 @@ def tune_thresholds(
     _check_hierarchy(model, h)
     G = _gold_rows(dev_corpus, h, "dev")
     S = _score_matrix(model, dev_corpus)
-    C = _head_closure(model, h)
     gold_total = int(G.sum())
 
     def hf1(thresholds: np.ndarray) -> float:
-        P = (S > thresholds) @ C
+        P = (S > thresholds) @ h.closure
         return hierarchical_from_totals((int((G & P).sum()), int(P.sum()), gold_total))[2]
 
     t = model.thresholds.copy()

@@ -132,19 +132,33 @@ def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: 
     _write_manifest(out_path, command, config, inputs)
 
 
-def _resolve(args: argparse.Namespace, key: str, default, cast=None):
-    """flags > config file > environment > default."""
+def _resolve(args: argparse.Namespace, key: str, default, cast=str):
+    """flags > config file > environment > default.
+
+    A config or environment value goes through ``cast`` (``str``, ``int``
+    or ``float``).  One of the wrong JSON type (null, a list, a bool, a
+    number for a string, a float for an integer), or a string ``cast``
+    refuses, raises ValueError naming the key.
+    """
     val = getattr(args, key, None)
     if val is not None:
         return val
     cfg = getattr(args, "_config_data", None) or {}
+    env = _ENV_PREFIX + _ENV_KEYS[key] if key in _ENV_KEYS else None
     if key in cfg:
-        return cast(cfg[key]) if cast else cfg[key]
-    env = _ENV_KEYS.get(key)
-    if env and _ENV_PREFIX + env in os.environ:
-        raw = os.environ[_ENV_PREFIX + env]
-        return cast(raw) if cast else raw
-    return default
+        val, source = cfg[key], f"config key {key!r}"
+    elif env and env in os.environ:
+        val, source = os.environ[env], f"environment variable {env}"
+    else:
+        return default
+    accepted, what = {str: ((str,), "a string"), int: ((str, int), "an integer"),
+                      float: ((str, int, float), "a number")}[cast]
+    try:
+        if type(val) in accepted:
+            return cast(val)
+    except (ValueError, OverflowError):  # OverflowError: float() of a huge int
+        pass
+    raise ValueError(f"{source} must be {what}, not {json.dumps(val)}")
 
 
 def _print_table(rows: list[tuple[str, float]], out=None):

@@ -167,6 +167,11 @@ def test_feature_config_validation():
         FeatureConfig(dimension=1000)
     with pytest.raises(ValueError, match="mode"):
         FeatureConfig(mode="caption-only")
+    for name, bad in (("word_orders", ("x",)), ("char_orders", ("3", "4")),
+                      ("char_orders", (1.5,)), ("word_orders", (0,)),
+                      ("char_orders", (-2,)), ("word_orders", (True,))):
+        with pytest.raises(ValueError, match=f"{name} must be integers of at least 1"):
+            FeatureConfig(**{name: bad})
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -301,6 +306,27 @@ def test_renumbering_keeps_every_used_column(case, entries):
         used, pos = baseline._renumber(X.indices, X.shape[1], dtype=np.int32)
     assert used.dtype == np.int64 and used.tolist() == sorted(set(X.indices.tolist()))
     assert pos.dtype == np.int32 and np.array_equal(used[pos], X.indices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.text(max_size=30), max_size=7), st.sampled_from((2**4, 2**10, 2**24)),
+       st.booleans())
+def test_design_rows_are_featurize_renumbered_and_sorted(texts, dimension, restrict):
+    # Row i holds featurize's buckets that are among the rows, ascending,
+    # with featurize's values; blocks of 3 documents cover block edges.
+    cfg = FeatureConfig(dimension=dimension)
+    vecs = [featurize(t, None, cfg) for t in texts]
+    used = sorted(set().union(*vecs))
+    rows = np.array(used[::2], dtype=np.int64) if restrict else None
+    with mock.patch.object(baseline, "_SCORE_BLOCK", 3):
+        got_rows, data, pos, indptr = baseline._design(
+            [doc(f"d{i}", t) for i, t in enumerate(texts)], cfg, rows)
+    assert got_rows.tolist() == (used[::2] if restrict else used)
+    assert pos.dtype == indptr.dtype == np.int32 and indptr.size == len(texts) + 1
+    for i, vec in enumerate(vecs):
+        lo, hi = indptr[i], indptr[i + 1]
+        assert [(int(got_rows[p]), x) for p, x in zip(pos[lo:hi], data[lo:hi].tolist())] \
+            == sorted((b, x) for b, x in vec.items() if b in set(got_rows.tolist()))
 
 
 def test_loss_agrees_between_sparse_and_dense():
@@ -837,3 +863,14 @@ def test_predict_refuses_wrong_hierarchy():
     with pytest.raises(ValueError, match="fingerprint"):
         predict_corpus(model, other, MEMORIZE)
 
+
+def test_a_model_whose_heads_are_not_the_hierarchy_labels_is_refused():
+    # Head j closes through row j of H.closure, so the heads must be
+    # H.labels in order.
+    model = train(MEMORIZE, H, FeatureConfig(dimension=2**10))
+    permuted = replace(model, labels=model.labels[::-1])
+    for call in (lambda: predict(permuted, H, MEMORIZE[0]),
+                 lambda: predict_corpus(permuted, H, MEMORIZE),
+                 lambda: tune_thresholds(permuted, MEMORIZE, H)):
+        with pytest.raises(ValueError, match="model labels do not match the hierarchy"):
+            call()

@@ -357,6 +357,36 @@ def test_predict_refuses_a_model_number_out_of_range(tmp_path, capsys, saved_mod
     assert not os.path.exists(out)
 
 
+_BAD_ORDERS = [("word_orders", ["x"]), ("char_orders", "34"), ("char_orders", [1.5]),
+               ("word_orders", [0]), ("char_orders", [-2]), ("word_orders", [True])]
+
+
+@pytest.mark.parametrize("orders,problem", [
+    *[({key: value}, f"{key} must be integers of at least 1") for key, value in _BAD_ORDERS],
+    (None, "model labels do not match the hierarchy"),
+])
+def test_predict_refuses_a_model_it_cannot_score(tmp_path, capsys, saved_model, orders, problem):
+    # ["x"], "34" and [1.5] as orders used to end in a TypeError traceback;
+    # [0], [-2] and [true] loaded and scored nonsense.  With no orders
+    # given, the labels are reversed: head j closes through row j of the
+    # hierarchy's closure, so a reordered model would close the wrong sets.
+    corpus, text = saved_model
+    payload = json.loads(text)
+    if orders is None:
+        payload["labels"].reverse()
+    else:
+        payload["feature_config"].update(orders)
+    model = write(tmp_path / "bad.json", json.dumps(payload))
+    out = str(tmp_path / "p.json")
+    rc = main(["predict", "--model", model, "--hierarchy", WORKED_H,
+               "--corpus", corpus, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problem}"), err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 HUGE_DIM = 2**63  # a power of two whose bucket indices overflow int64
 
 
@@ -428,6 +458,9 @@ def test_train_and_predict_at_a_dimension_of_2_to_the_50(tmp_path):
     (2**18, False, "9873b7d8af10fbc56527efc1b8c41362f3df9c47379234203ab33f381e74e3a3"),
     (2**16, True, "c7bb85e32af53d97e4e4b2c735986ef75cf35dcc3c1ccd0bcc64aea4ead0e834"),
     (2**18, True, "047fdc6c93b79f4ffdba3e4e3e37661ce500456623b6c9448e1dab78f640cb2f"),
+    # Above max(non-zeros, 2**20): renumbered by binary search, not a map.
+    (2**24, False, "4f756231eedca5ebb73939421931f3e34e85040013f3eb028b06ba38bfecbf0c"),
+    (2**24, True, "130786ff4d72931e98f7a3315053f859360d91ac82a006f4fae68702f565bac3"),
 ])
 def test_shipped_corpus_model_bytes_are_pinned(tmp_path, dim, tuned, sha256):
     model = str(tmp_path / "model.json")
@@ -955,6 +988,49 @@ def test_config_must_be_object(tmp_path, capsys):
     rc = main(["--config", cfg, "validate", "--hierarchy", WORKED_H])
     assert rc == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,env,message", [
+    ({"seed": None}, None, "config key 'seed' must be an integer, not null"),
+    ({"seed": [1]}, None, "config key 'seed' must be an integer, not [1]"),
+    ({"seed": True}, None, "config key 'seed' must be an integer, not true"),
+    ({"seed": 1.5}, None, "config key 'seed' must be an integer, not 1.5"),
+    ({"seed": "x1"}, None, 'config key \'seed\' must be an integer, not "x1"'),
+    ({}, "x1", 'environment variable PERSUASIONKIT_SEED must be an integer, not "x1"'),
+])
+def test_wrongly_typed_config_or_environment_value_is_validation_error(
+        tmp_path, capsys, monkeypatch, cfg, env, message):
+    gold, pred = _boot_files(tmp_path)
+    if env is None:
+        monkeypatch.delenv("PERSUASIONKIT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PERSUASIONKIT_SEED", env)
+    out = str(tmp_path / "r.json")
+    rc = main(["--config", write(tmp_path / "cfg.json", json.dumps(cfg)),
+               "score", "--task", "hier", "--hierarchy", WORKED_H,
+               "--gold", gold, "--pred", pred, "--bootstrap", "10", "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"endpoint": 5}, "config key 'endpoint' must be a string, not 5"),
+    ({"rate_limit": None}, "config key 'rate_limit' must be a number, not null"),
+    ({"rate_limit": 10**400}, f"config key 'rate_limit' must be a number, not {10**400}"),
+    ({"jobs": [2]}, "config key 'jobs' must be an integer, not [2]"),
+])
+def test_caption_refuses_a_wrongly_typed_config_value_before_any_request(
+        tmp_path, capsys, cfg, message):
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    transport = ScriptedTransport()
+    rc = main(["--config", write(tmp_path / "cfg.json", json.dumps(cfg)),
+               "caption", "--corpus", corpus, "--out", str(tmp_path / "ck.jsonl")],
+              transport=transport)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert transport.requests == []
 
 
 def test_report_and_manifest_key_sets(tmp_path):
