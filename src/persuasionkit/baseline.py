@@ -24,10 +24,11 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-from .corpus import MemeInstance
+from .corpus import MemeInstance, read_int, read_number
 from .hierarchy import LabelHierarchy
 from .metrics import hierarchical_from_totals
 from .metrics import hierarchical_score  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -255,8 +256,8 @@ def _gradient(
     column's terms into the row sums, so each sum still starts at +0.0
     and adds its terms in ascending column order, as the CSR product
     does: the two are equal bit for bit.  ``X.T`` is a CSC view sharing
-    ``X``'s arrays, and each column of ``X.T @ E`` adds its terms in
-    ascending instance order.
+    ``X``'s arrays; each column of ``X.T @ E``, and of the bias gradient,
+    adds its terms in ascending instance order at any number of heads.
     """
     from scipy.special import expit
 
@@ -267,7 +268,7 @@ def _gradient(
     E /= X.shape[0]
     G = X.T @ E
     G += l2 * W
-    return G, E.sum(axis=0)
+    return G, np.cumsum(E, axis=0, out=E)[-1]
 
 
 def loss_and_grad(
@@ -280,8 +281,8 @@ def loss_and_grad(
     """Mean logistic loss with L2 penalty on the weights (not the bias).
 
     Returns (loss, dloss/dw, dloss/db).  The gradient is the one ``train``
-    descends, for a single head, so checking it numerically checks the
-    trainer's own code.
+    descends for a single head, bit for bit, so checking it numerically
+    checks the trainer's own code.
     """
     z = X @ w + b
     # log-loss via logaddexp for stability: log(1 + e^-z) etc.
@@ -498,13 +499,9 @@ def train(
     warning.  Thresholds start at 0.5.  The model holds one weight row per
     bucket some training document uses.
 
-    The heads descend in groups of at least two, one thread per group and
-    at most one per CPU.  Every element of ``_gradient``'s products and
-    of ``expit`` is computed per column in the same order at any group
-    width, and an ``(n, k)`` bias gradient is summed row by row for every
-    ``k >= 2``, so the model is the same bit for bit at any thread count.
-    (numpy sums an ``(n, 1)`` column pairwise, so a one-head group would
-    not be; only a model with a single trainable head descends one.)
+    The heads descend in groups, one thread per group and at most one per
+    CPU.  ``_gradient`` computes each head's gradient the same way at any
+    group width, so the model is the same bit for bit at any thread count.
     An error in one group, or an interrupt while the groups descend, stops
     the others at their next epoch, and the call waits for them to stop.
     In the main thread, Ctrl-C only sets that stop, and ``train`` raises
@@ -536,7 +533,7 @@ def train(
         # One column-major copy, shared by every group, for the forward
         # products.
         Xc = Xu.tocsc()
-        groups = np.array_split(active, max(1, min(_cpu_count(), active.size // 2)))
+        groups = np.array_split(active, min(_cpu_count(), active.size))
         stop = threading.Event()
         with _interrupt_sets(stop), \
                 ThreadPoolExecutor(len(groups), thread_name_prefix="descent") as pool:
@@ -717,22 +714,22 @@ def load_model(data: bytes) -> HierModel:
     """Inverse of save_model; validates kind, format version and structure.
 
     Raises ValueError naming the problem for a file that is not a model,
-    lacks a key, whose weights, bias or thresholds disagree in shape
-    with its labels and feature dimension, whose dimension is not a
-    power of two or is above 2**62, whose weights or bias are not finite
-    or whose thresholds are not in (0, 1).  The rows may come in any
-    order.
+    lacks a key, holds a JSON type ``save_model`` never writes there (a
+    bool, a string or a float for an integer; a bool or a string for a
+    number), whose weights, bias or thresholds disagree in shape with its
+    labels and feature dimension, whose dimension is not a power of two
+    or is above 2**62, whose weights or bias are not finite or whose
+    thresholds are not in (0, 1).  The rows may come in any order.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to read
         raise ValueError(f"not a model file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("kind") != _MODEL_KIND:
         raise ValueError("not a model file (bad kind marker)")
-    if payload.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format version {payload.get('format_version')!r}"
-        )
+    version = read_int(payload.get("format_version"), "malformed model file: format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version!r}")
     missing = [k for k in _MODEL_KEYS if k not in payload]
     fc = payload.get("feature_config", {})
     if not isinstance(fc, dict):
@@ -740,24 +737,26 @@ def load_model(data: bytes) -> HierModel:
     missing += [f"feature_config.{k}" for k in _FEATURE_KEYS if k not in fc]
     if missing:
         raise ValueError(f"model file is missing {', '.join(missing)}")
+    dimension = read_int(fc["dimension"], "malformed model file: feature_config.dimension")
+    seed = read_int(payload["seed"], "malformed model file: seed")
     try:
-        dimension = int(fc["dimension"])
         word_orders, char_orders = tuple(fc["word_orders"]), tuple(fc["char_orders"])
-        seed = int(payload["seed"])
-        bias = np.asarray(payload["bias"], dtype=np.float64)
-        thresholds = np.asarray(payload["thresholds"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed model file: {exc}") from None
-    # Its own message names a bad dimension or mode.
+    # Its own message names a bad dimension, order or mode.
     cfg = FeatureConfig(dimension, word_orders, char_orders, fc["mode"])
     labels = payload["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("model file: labels must be a list of strings")
     n = len(labels)
-    for name, arr in (("bias", bias), ("thresholds", thresholds)):
-        if arr.shape != (n,):
+    for name in ("bias", "thresholds"):
+        if not isinstance(payload[name], list) or len(payload[name]) != n:
             raise ValueError(f"model file: {name} must hold {n} numbers, one per label")
-    for label, b, t in zip(labels, bias.tolist(), thresholds.tolist()):
+    bias = [read_number(b, f"malformed model file: the bias of label {label!r}")
+            for label, b in zip(labels, payload["bias"])]
+    thresholds = [read_number(t, f"malformed model file: the threshold of label {label!r}")
+                  for label, t in zip(labels, payload["thresholds"])]
+    for label, b, t in zip(labels, bias, thresholds):
         if not math.isfinite(b):
             raise ValueError(
                 f"model file: the bias of label {label!r} is {b}, not a finite number")
@@ -776,11 +775,13 @@ def load_model(data: bytes) -> HierModel:
             raise ValueError(f"model file: weight row {i} must hold {n} numbers, one per label")
     if len(set(rows)) != len(rows):
         raise ValueError("model file: weight_rows repeats an index")
-    try:
-        W = np.asarray(weights, dtype=np.float64).reshape(len(rows), n)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed model file: {exc}") from None
-    rows = np.asarray(rows, dtype=np.int64)
+    # save_model writes floats only; their types are checked in one pass,
+    # and anything else is read one number at a time.
+    if not set(map(type, chain.from_iterable(weights))) <= {float}:
+        weights = [[read_number(w, f"malformed model file: weight row {i}") for w in row]
+                   for i, row in zip(rows, weights)]
+    W = np.array(weights, dtype=np.float64).reshape(len(rows), n)
+    rows = np.array(rows, dtype=np.int64)
     bad = np.argwhere(~np.isfinite(W))
     if bad.size:
         r, j = bad[0]
@@ -796,6 +797,6 @@ def load_model(data: bytes) -> HierModel:
         seed=seed,
         weight_rows=rows[order],
         row_weights=W[order],
-        bias=bias,
-        thresholds=thresholds,
+        bias=np.array(bias, dtype=np.float64),
+        thresholds=np.array(thresholds, dtype=np.float64),
     )

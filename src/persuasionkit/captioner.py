@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import MemeInstance
+from .corpus import MemeInstance, read_int
 
 __all__ = [
     "PromptTemplate",
@@ -436,7 +436,8 @@ def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
     """Read a JSONL checkpoint; later records for an id win.
 
     Raises ValueError naming the line for a line that is not JSON, not an
-    object, or lacks a string ``id`` or ``status``.
+    object, lacks a string ``id`` or ``status``, or whose ``attempts`` is
+    not an integer.
     """
     out: dict[str, CaptionOutcome] = {}
     if not os.path.exists(path):
@@ -455,15 +456,11 @@ def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
             for key in ("id", "status"):
                 if not isinstance(rec.get(key), str):
                     raise ValueError(f"checkpoint line {lineno}: record lacks a string {key!r}")
-            try:
-                attempts = int(rec.get("attempts", 0))
-            except (TypeError, ValueError):
-                raise ValueError(f"checkpoint line {lineno}: attempts is not a number") from None
             out[rec["id"]] = CaptionOutcome(
                 id=rec["id"],
                 status=rec["status"],
                 caption=rec.get("caption"),
-                attempts=attempts,
+                attempts=read_int(rec.get("attempts", 0), f"checkpoint line {lineno}: attempts"),
                 model=rec.get("model", ""),
             )
     return out
@@ -500,7 +497,8 @@ def caption_corpus(
     cut first; a malformed complete line still raises.
     Outcomes are appended to the checkpoint as they complete, by
     ``concurrency`` worker threads; with one worker they follow corpus
-    order.  The returned map includes resumed terminal outcomes.
+    order.  The checkpoint is synced to disk before it is closed.  The
+    returned map includes resumed terminal outcomes.
 
     Raises ValueError, before the checkpoint is touched, for a
     ``concurrency`` below 1 or a rate that is not positive and finite.
@@ -552,5 +550,8 @@ def caption_corpus(
             list(pool.map(work, todo))
     finally:
         if ckpt_fh is not None:
-            ckpt_fh.close()
+            try:
+                os.fsync(ckpt_fh.fileno())
+            finally:
+                ckpt_fh.close()
     return results

@@ -6,7 +6,8 @@ provider failure.  Every run that writes an output also writes a
 ``<out>.manifest.json`` sidecar with content hashes of its inputs and
 outputs, the resolved configuration and the toolkit version, so a run can
 be reproduced from the manifest alone.  Outputs and manifests are written
-atomically (temp file, then rename); the caption checkpoint is appended to.
+atomically and durably (temp file, fsync, rename, fsync of the directory);
+the caption checkpoint is appended to, and synced when it is closed.
 
 Option precedence: command-line flags, then a ``--config`` JSON file,
 then ``PERSUASIONKIT_*`` environment variables, then built-in defaults.
@@ -99,7 +100,9 @@ def _json(obj) -> str:
 
 def _write(path: str, data: str | bytes):
     """Write ``data`` whole or not at all: a temp file in the output's
-    directory, then ``os.replace`` over ``path``.  Text is UTF-8."""
+    directory, synced to disk, then ``os.replace`` over ``path`` and the
+    directory synced, so the rename outlives a power loss too.  Text is
+    UTF-8."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     head, tail = os.path.split(path)
@@ -107,11 +110,18 @@ def _write(path: str, data: str | bytes):
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    fd = os.open(head or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 
@@ -103,6 +104,30 @@ def _label_list(rec: dict, key: str, idx: int, what: str) -> list[str] | None:
             f"{what}: record {idx}: field {key!r} must be an array of strings"
         )
     return val
+
+
+def read_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer.  Raises ValueError naming
+    ``what`` for a bool, a string, a float (``1.0`` too: ``json`` writes
+    an int with no point) or any other JSON value."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def read_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number.  Raises ValueError
+    naming ``what`` for a bool, a string or any other JSON value.  An
+    integer too large for a float reads as an infinity, as ``1e400``
+    does."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a number, not {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def load_corpus(text: str, hierarchy: LabelHierarchy | None = None) -> list[MemeInstance]:

@@ -162,7 +162,8 @@ def dense_descent(X, Y: np.ndarray, epochs: int, learning_rate: float, l2: float
     including the columns no document touches.
 
     Returns (W, B) with W of shape (X.shape[1], Y.shape[1]).  Heads with
-    no positive example get zero weights and ``negative_bias``.
+    no positive example get zero weights and ``negative_bias``.  Each
+    bias gradient is summed in ascending instance order.
     """
     n, dimension = X.shape
     trainable = Y.sum(axis=0) > 0
@@ -180,10 +181,58 @@ def dense_descent(X, Y: np.ndarray, epochs: int, learning_rate: float, l2: float
             P = expit(X @ Wa + Ba)
             E = (P - Ya) / n
             Wa -= learning_rate * (XT @ E + l2 * Wa)
-            Ba -= learning_rate * E.sum(axis=0)
+            Ba -= learning_rate * np.cumsum(E, axis=0)[-1]
         W[:, active] = Wa
         B[active] = Ba
     return W, B
+
+
+def reference_gradient(X, Y: np.ndarray, W: np.ndarray, B: np.ndarray, l2: float):
+    """Descent's gradient in plain Python floats, with no numpy or scipy
+    arithmetic, for a CSR ``X`` with sorted indices.
+
+    Returns ``(Z, gW, gB)``:
+    - ``Z``, the forward sums ``X @ W``: each starts at +0.0 and adds its
+      terms in ascending column order;
+    - ``gW = X.T @ E + l2 * W``: each sum starts at +0.0 and adds its
+      terms in ascending instance order;
+    - ``gB``, each column of ``E`` summed in ascending instance order;
+
+    with ``E = (1 / (1 + exp(-(Z + B))) - Y) / n`` through ``math.exp``.
+    """
+    assert X.has_sorted_indices
+    n, d = X.shape
+    k = W.shape[1]
+    data, indices, indptr = X.data.tolist(), X.indices.tolist(), X.indptr.tolist()
+    Wl, Yl, Bl = W.tolist(), Y.tolist(), B.tolist()
+
+    def sigmoid(z):
+        try:
+            return 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:
+            return 0.0
+
+    Z, E = [], []
+    for i in range(n):
+        row = []
+        for j in range(k):
+            z = 0.0
+            for p in range(indptr[i], indptr[i + 1]):
+                z += data[p] * Wl[indices[p]][j]
+            row.append(z)
+        Z.append(row)
+        E.append([(sigmoid(z + b) - y) / n for z, b, y in zip(row, Bl, Yl[i])])
+    G = [[0.0] * k for _ in range(d)]
+    for i in range(n):
+        for p in range(indptr[i], indptr[i + 1]):
+            for j in range(k):
+                G[indices[p]][j] += data[p] * E[i][j]
+    G = [[g + l2 * w for g, w in zip(grow, wrow)] for grow, wrow in zip(G, Wl)]
+    bias = E[0]
+    for row in E[1:]:
+        bias = [s + e for s, e in zip(bias, row)]
+    return (np.array(Z, dtype=np.float64).reshape(n, k),
+            np.array(G, dtype=np.float64).reshape(d, k), np.array(bias, dtype=np.float64))
 
 
 def design_matrix(instances, cfg):

@@ -4,6 +4,7 @@ import os
 import random
 import select
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -353,6 +354,44 @@ def test_predict_refuses_a_model_number_out_of_range(tmp_path, capsys, saved_mod
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: model file: ") and named in err, err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+_INTEGER, _NUMBER = "must be an integer, not ", "must be a number, not "
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    *[("seed", v, "seed " + _INTEGER) for v in (1.9, True, "7", 1.0, None)],
+    *[("dimension", v, "feature_config.dimension " + _INTEGER) for v in (1024.9, "1024")],
+    ("format_version", True, "format_version " + _INTEGER),
+    *[("bias", v, "the bias of label 'Pathos' " + _NUMBER) for v in ("7", True, None)],
+    pytest.param("bias", -10**400, "the bias of label 'Pathos' is -inf, not a finite number",
+                 id="bias-huge-int"),
+    *[("thresholds", v, "the threshold of label 'Pathos' " + _NUMBER) for v in ("0.3", False)],
+    *[("weights", v, "weight row {row} " + _NUMBER) for v in ("2", False, [2.0])],
+])
+def test_predict_refuses_a_model_number_of_the_wrong_type(tmp_path, capsys, saved_model,
+                                                           key, value, problem):
+    # Each of these used to load: int() read 1.9, true and "7" as seeds,
+    # 1024.9 as a dimension, and numpy read "7" and true as a bias.
+    corpus, text = saved_model
+    payload = json.loads(text)
+    if key == "dimension":
+        payload["feature_config"][key] = value
+    elif key == "weights":
+        payload[key][-1][-1] = value
+    elif key in ("bias", "thresholds"):
+        payload[key][-1] = value
+    else:
+        payload[key] = value
+    model = write(tmp_path / "bad.json", json.dumps(payload))
+    out = str(tmp_path / "p.json")
+    rc = main(["predict", "--model", model, "--hierarchy", WORKED_H,
+               "--corpus", corpus, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert problem.format(row=payload["weight_rows"][-1]) in err.splitlines()[-1], err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -750,6 +789,21 @@ def test_caption_bad_checkpoint_record_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("attempts", ["3", True, 1.9, None])
+def test_caption_refuses_checkpoint_attempts_of_the_wrong_type(tmp_path, capsys, attempts):
+    # int() used to read "3", true and 1.9 as 3, 1 and 1.
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    record = {"id": "a", "status": "transport_error", "caption": None, "attempts": attempts}
+    ck = write(tmp_path / "ck.jsonl", json.dumps(record) + "\n")
+    transport = ScriptedTransport()
+    rc = main(["caption", "--corpus", corpus, "--out", ck], transport=transport)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"error: checkpoint line 1: attempts must be an integer, not {json.dumps(attempts)}")
+    assert transport.requests == []
+
+
 TORN_CORPUS = [
     {"id": f"t{k}", "text": f"text {k}", "image": f"https://img.test/t{k}.png"}
     for k in range(4)
@@ -1138,3 +1192,52 @@ def test_failed_replace_keeps_old_output_and_leaves_no_temp(tmp_path, monkeypatc
     assert main(argv) == 0
     assert read_text(out) != "old bytes"
     assert set(os.listdir(tmp_path)) == before | {"out.json.manifest.json"}
+
+
+def _recording_syncs(monkeypatch) -> list[tuple]:
+    """Patch ``os.fsync`` and ``os.replace`` to record each call, in
+    order, as ``("fsync", inode)``, ``("fsync dir", inode)`` or
+    ``("replace", inode, target name)``, and then make it."""
+    calls, fsync, replace = [], os.fsync, os.replace
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync dir" if stat.S_ISDIR(st.st_mode) else "fsync", st.st_ino))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return calls
+
+
+def test_outputs_are_synced_before_and_after_their_rename(tmp_path, monkeypatch):
+    # A power loss itself cannot be simulated here; the order of the calls
+    # is what makes a renamed output survive one: the temp file's data
+    # reaches the disk before the rename, and the rename before _write
+    # returns.
+    out = str(tmp_path / "report.json")
+    calls = _recording_syncs(monkeypatch)
+    assert main(["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED,
+                 "--out", out]) == 0
+    directory = os.stat(tmp_path).st_ino
+    want = []
+    for name in ("report.json", "report.json.manifest.json"):
+        inode = os.stat(tmp_path / name).st_ino
+        want += [("fsync", inode), ("replace", inode, name), ("fsync dir", directory)]
+    assert calls == want
+
+
+def test_caption_checkpoint_is_synced_before_it_is_closed(tmp_path, monkeypatch):
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    ck = tmp_path / "ck.jsonl"
+    calls = _recording_syncs(monkeypatch)
+    assert main(["caption", "--corpus", corpus, "--out", str(ck)],
+                transport=ScriptedTransport()) == 0
+    # The checkpoint, whole, then its manifest through _write.
+    assert calls[0] == ("fsync", ck.stat().st_ino)
+    assert [c[0] for c in calls[1:]] == ["fsync", "replace", "fsync dir"]
+    assert len(read_text(ck).splitlines()) == len(CAPTION_CORPUS)

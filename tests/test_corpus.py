@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 
 import pytest
 
@@ -13,11 +14,30 @@ from persuasionkit.corpus import (
     load_corpus,
     load_predictions,
     merge_captions,
+    read_int,
+    read_number,
     write_binary_predictions,
     write_captions,
     write_predictions,
 )
 from persuasionkit.hierarchy import parse_hierarchy
+
+@pytest.mark.parametrize("text", ["true", "false", "null", '"7"', "1.9", "1.0", "[1]", "{}"])
+def test_read_int_takes_json_integers_only(text):
+    assert read_int(json.loads("-7"), "x") == -7
+    with pytest.raises(ValueError, match=f"^x must be an integer, not {re.escape(text)}$"):
+        read_int(json.loads(text), "x")
+
+
+@pytest.mark.parametrize("text", ["true", "false", "null", '"7"', '"0.3"', "[1.5]"])
+def test_read_number_takes_json_numbers_only(text):
+    for number, want in (("2", 2.0), ("-0.5", -0.5), ("1" + "0" * 400, float("inf")),
+                         ("-1" + "0" * 400, -float("inf"))):
+        got = read_number(json.loads(number), "x")
+        assert type(got) is float and got == want
+    with pytest.raises(ValueError, match=f"^x must be a number, not {re.escape(text)}$"):
+        read_number(json.loads(text), "x")
+
 
 WORKED = "persuasion\nEthos\tpersuasion\nNameCalling\tEthos\nPathos\tpersuasion"
 
