@@ -716,10 +716,11 @@ def load_model(data: bytes) -> HierModel:
     Raises ValueError naming the problem for a file that is not a model,
     lacks a key, holds a JSON type ``save_model`` never writes there (a
     bool, a string or a float for an integer; a bool or a string for a
-    number), whose weights, bias or thresholds disagree in shape with its
-    labels and feature dimension, whose dimension is not a power of two
-    or is above 2**62, whose weights or bias are not finite or whose
-    thresholds are not in (0, 1).  The rows may come in any order.
+    number; anything but a string for the hierarchy fingerprint), whose
+    weights, bias or thresholds disagree in shape with its labels and
+    feature dimension, whose dimension is not a power of two or is above
+    2**62, whose weights or bias are not finite or whose thresholds are
+    not in (0, 1).  The rows may come in any order.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
@@ -745,6 +746,10 @@ def load_model(data: bytes) -> HierModel:
         raise ValueError(f"malformed model file: {exc}") from None
     # Its own message names a bad dimension, order or mode.
     cfg = FeatureConfig(dimension, word_orders, char_orders, fc["mode"])
+    fingerprint = payload["hierarchy_fingerprint"]
+    if not isinstance(fingerprint, str):
+        raise ValueError("malformed model file: hierarchy_fingerprint must be a string, "
+                         f"not {json.dumps(fingerprint)}")
     labels = payload["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("model file: labels must be a list of strings")
@@ -793,7 +798,7 @@ def load_model(data: bytes) -> HierModel:
     return HierModel(
         labels=tuple(labels),
         feature_config=cfg,
-        hierarchy_fingerprint=payload["hierarchy_fingerprint"],
+        hierarchy_fingerprint=fingerprint,
         seed=seed,
         weight_rows=rows[order],
         row_weights=W[order],

@@ -436,8 +436,10 @@ def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
     """Read a JSONL checkpoint; later records for an id win.
 
     Raises ValueError naming the line for a line that is not JSON, not an
-    object, lacks a string ``id`` or ``status``, or whose ``attempts`` is
-    not an integer.
+    object, or holds what ``_outcome_record`` never writes: no string
+    ``id``, a ``status`` outside the four statuses, a ``caption`` that is
+    neither a string nor null (a string on an ok status), a ``model`` that
+    is not a string, or an ``attempts`` that is not an integer.
     """
     out: dict[str, CaptionOutcome] = {}
     if not os.path.exists(path):
@@ -447,22 +449,28 @@ def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
             line = line.strip()
             if not line:
                 continue
+            where = f"checkpoint line {lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"checkpoint line {lineno}: invalid JSON: {exc}") from None
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(rec, dict):
-                raise ValueError(f"checkpoint line {lineno}: record is not a JSON object")
+                raise ValueError(f"{where}: record is not a JSON object")
             for key in ("id", "status"):
                 if not isinstance(rec.get(key), str):
-                    raise ValueError(f"checkpoint line {lineno}: record lacks a string {key!r}")
-            out[rec["id"]] = CaptionOutcome(
-                id=rec["id"],
-                status=rec["status"],
-                caption=rec.get("caption"),
-                attempts=read_int(rec.get("attempts", 0), f"checkpoint line {lineno}: attempts"),
-                model=rec.get("model", ""),
-            )
+                    raise ValueError(f"{where}: record lacks a string {key!r}")
+            attempts = read_int(rec.get("attempts", 0), f"{where}: attempts")
+            status, caption, model = rec["status"], rec.get("caption"), rec.get("model", "")
+            if status not in _TERMINAL_STATUSES and status != STATUS_TRANSPORT_ERROR:
+                raise ValueError(f"{where}: unknown status {json.dumps(status)}")
+            if caption is not None and not isinstance(caption, str):
+                raise ValueError(f"{where}: caption must be a string or null, "
+                                 f"not {json.dumps(caption)}")
+            if caption is None and status in (STATUS_OK_PROMPT1, STATUS_OK_PROMPT2):
+                raise ValueError(f"{where}: an {status} record must hold a string caption")
+            if not isinstance(model, str):
+                raise ValueError(f"{where}: model must be a string, not {json.dumps(model)}")
+            out[rec["id"]] = CaptionOutcome(rec["id"], status, caption, attempts, model)
     return out
 
 
@@ -471,7 +479,7 @@ def checkpoint_to_captions(
 ) -> dict[str, tuple[str, str]]:
     """Successful outcomes as a captions map suitable for merge_captions."""
     return {
-        iid: (o.caption or "", CAPTION_SOURCE)
+        iid: (o.caption, CAPTION_SOURCE)
         for iid, o in outcomes.items()
         if o.status in (STATUS_OK_PROMPT1, STATUS_OK_PROMPT2)
     }

@@ -70,13 +70,15 @@ from .textmetrics import score_caption_pairs
 logger = logging.getLogger(__name__)
 
 _ENV_PREFIX = "PERSUASIONKIT_"
-_ENV_KEYS = {
-    "endpoint": "ENDPOINT",
-    "model_name": "MODEL",
-    "credential_env": "CREDENTIAL_ENV",
-    "jobs": "JOBS",
-    "seed": "SEED",
-    "rate_limit": "RATE_LIMIT",
+# The options a flag, a --config key or a PERSUASIONKIT_* variable may set:
+# key -> (variable suffix, type, default).
+_LAYERED = {
+    "endpoint": ("ENDPOINT", str, ""),
+    "model_name": ("MODEL", str, ProviderConfig.model),
+    "credential_env": ("CREDENTIAL_ENV", str, ProviderConfig.credential_env),
+    "rate_limit": ("RATE_LIMIT", float, None),
+    "jobs": ("JOBS", int, 1),
+    "seed": ("SEED", int, 0),
 }
 
 
@@ -142,33 +144,42 @@ def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: 
     _write_manifest(out_path, command, config, inputs)
 
 
-def _resolve(args: argparse.Namespace, key: str, default, cast=str):
-    """flags > config file > environment > default.
+def _resolve(args: argparse.Namespace, config: dict):
+    """Set each layered option the command takes and no flag set: from
+    ``config`` (the ``--config`` object), else the environment, else the
+    default.
 
-    A config or environment value goes through ``cast`` (``str``, ``int``
-    or ``float``).  One of the wrong JSON type (null, a list, a bool, a
-    number for a string, a float for an integer), or a string ``cast``
-    refuses, raises ValueError naming the key.
+    A config or environment value must be of the option's type (a string,
+    an integer, or a number; an integer or number may come as a string of
+    one).  One of the wrong JSON type (null, a list, a bool, a number for
+    a string, a float for an integer), a string the type refuses, or a
+    config key outside ``_LAYERED`` raises ValueError naming the key.
     """
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config_data", None) or {}
-    env = _ENV_PREFIX + _ENV_KEYS[key] if key in _ENV_KEYS else None
-    if key in cfg:
-        val, source = cfg[key], f"config key {key!r}"
-    elif env and env in os.environ:
-        val, source = os.environ[env], f"environment variable {env}"
-    else:
-        return default
-    accepted, what = {str: ((str,), "a string"), int: ((str, int), "an integer"),
-                      float: ((str, int, float), "a number")}[cast]
-    try:
-        if type(val) in accepted:
-            return cast(val)
-    except (ValueError, OverflowError):  # OverflowError: float() of a huge int
-        pass
-    raise ValueError(f"{source} must be {what}, not {json.dumps(val)}")
+    unknown = sorted(set(config) - set(_LAYERED))
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; "
+                         f"a --config file may set only {', '.join(_LAYERED)}")
+    given = vars(args)
+    for key, (suffix, cast, default) in _LAYERED.items():
+        if key not in given or given[key] is not None:  # not taken, or set by a flag
+            continue
+        env = _ENV_PREFIX + suffix
+        if key in config:
+            val, source = config[key], f"config key {key!r}"
+        elif env in os.environ:
+            val, source = os.environ[env], f"environment variable {env}"
+        else:
+            given[key] = default
+            continue
+        accepted, what = {str: ((str,), "a string"), int: ((str, int), "an integer"),
+                          float: ((str, int, float), "a number")}[cast]
+        try:
+            if type(val) in accepted:
+                given[key] = cast(val)
+                continue
+        except (ValueError, OverflowError):  # OverflowError: float() of a huge int
+            pass
+        raise ValueError(f"{source} must be {what}, not {json.dumps(val)}")
 
 
 def _print_table(rows: list[tuple[str, float]], out=None):
@@ -239,13 +250,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 # -- score -------------------------------------------------------------------
 
-def _bootstrap(args: argparse.Namespace, seed: int, statistic, tallies) -> dict:
+def _bootstrap(args: argparse.Namespace, statistic, tallies) -> dict:
     return asdict(bootstrap_ci(
-        statistic, tallies, resamples=args.bootstrap, seed=seed, confidence=args.confidence
+        statistic, tallies, resamples=args.bootstrap, seed=args.seed, confidence=args.confidence
     ))
 
 
-def _score_hier(args: argparse.Namespace, seed: int) -> dict:
+def _score_hier(args: argparse.Namespace) -> dict:
     if not args.hierarchy:
         raise ValueError("--hierarchy is required for --task hier")
     h = parse_hierarchy(_read_text(args.hierarchy))
@@ -279,7 +290,7 @@ def _score_hier(args: argparse.Namespace, seed: int) -> dict:
     }
     if args.bootstrap:
         report["bootstrap"] = {"h_f_beta": _bootstrap(
-            args, seed, lambda totals: hierarchical_from_totals(totals, beta)[2],
+            args, lambda totals: hierarchical_from_totals(totals, beta)[2],
             hierarchical_tallies(h, gold, pred),
         )}
     rows = [
@@ -291,7 +302,7 @@ def _score_hier(args: argparse.Namespace, seed: int) -> dict:
     return report
 
 
-def _score_binary(args: argparse.Namespace, seed: int) -> dict:
+def _score_binary(args: argparse.Namespace) -> dict:
     gold = load_binary_predictions(_read_text(args.gold))
     pred = load_binary_predictions(_read_text(args.pred))
     score = flat_binary_score(gold, pred)
@@ -305,8 +316,7 @@ def _score_binary(args: argparse.Namespace, seed: int) -> dict:
         tallies = binary_tallies(gold, pred)
         report["bootstrap"] = {
             key: _bootstrap(
-                args, seed, lambda totals, key=key: getattr(binary_from_totals(totals), key),
-                tallies,
+                args, lambda totals, key=key: getattr(binary_from_totals(totals), key), tallies
             )
             for key in ("macro_f1", "micro_f1")
         }
@@ -315,13 +325,12 @@ def _score_binary(args: argparse.Namespace, seed: int) -> dict:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    seed = _resolve(args, "seed", 0, int)
-    report = (_score_hier if args.task == "hier" else _score_binary)(args, seed)
+    report = (_score_hier if args.task == "hier" else _score_binary)(args)
     report["scores_x100"] = {k: 100.0 * v for k, v in report["scores"].items()}
     if args.out:
         inputs = [args.gold, args.pred] + ([args.hierarchy] if args.hierarchy else [])
         config = {"task": args.task, "beta": args.beta, "bootstrap": args.bootstrap,
-                  "seed": seed, "confidence": args.confidence}
+                  "seed": args.seed, "confidence": args.confidence}
         _emit(args.out, _json(report), "score", config, inputs)
     return 0
 
@@ -330,39 +339,31 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_caption(args: argparse.Namespace, transport=None) -> int:
     corpus = load_corpus(_read_text(args.corpus))
-    endpoint = _resolve(args, "endpoint", "")
-    if transport is None and not endpoint:
+    if transport is None and not args.endpoint:
         raise ValueError("--endpoint is required (or PERSUASIONKIT_ENDPOINT)")
-    cfg = ProviderConfig(
-        endpoint=endpoint,
-        model=_resolve(args, "model_name", "gpt-4-vision-preview"),
-        credential_env=_resolve(args, "credential_env", "PERSUASIONKIT_API_KEY"),
-    )
+    cfg = ProviderConfig(args.endpoint, args.model_name, args.credential_env)
     if transport is None:
         transport = HttpTransport(cfg)
-    rate = _resolve(args, "rate_limit", None, float)
-    jobs = _resolve(args, "jobs", 1, int)
-    seed = _resolve(args, "seed", 0, int)
     outcomes = caption_corpus(
         corpus,
         cfg,
         transport,
         checkpoint_path=args.out,
-        concurrency=jobs,
-        rate_per_minute=rate,
+        concurrency=args.jobs,
+        rate_per_minute=args.rate_limit,
         force=args.force,
-        seed=seed,
+        seed=args.seed,
     )
     counts = Counter(o.status for o in outcomes.values())
     for status in sorted(counts):
         print(f"{status}: {counts[status]}")
     config = {
-        "endpoint": endpoint,
-        "model": cfg.model,
-        "credential_env": cfg.credential_env,  # the variable name, never its value
-        "rate_limit": rate,
-        "jobs": jobs,
-        "seed": seed,
+        "endpoint": args.endpoint,
+        "model": args.model_name,
+        "credential_env": args.credential_env,  # the variable name, never its value
+        "rate_limit": args.rate_limit,
+        "jobs": args.jobs,
+        "seed": args.seed,
         "force": args.force,
     }
     if args.captions_out:
@@ -385,16 +386,15 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     h = parse_hierarchy(_read_text(args.hierarchy))
     corpus = load_corpus(_read_text(args.corpus), hierarchy=h)
-    seed = _resolve(args, "seed", 0, int)
     fcfg = FeatureConfig(dimension=args.dim, mode=args.mode)
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, l2=args.l2)
-    model = train(corpus, h, fcfg, tcfg, seed=seed)
+    model = train(corpus, h, fcfg, tcfg, seed=args.seed)
     if args.tune_dev:
         dev = load_corpus(_read_text(args.tune_dev), hierarchy=h)
         model = tune_thresholds(model, dev, h)
     inputs = [args.hierarchy, args.corpus] + ([args.tune_dev] if args.tune_dev else [])
     config = {"mode": args.mode, "dim": args.dim, "epochs": args.epochs, "lr": args.lr,
-              "l2": args.l2, "seed": seed, "tuned": bool(args.tune_dev)}
+              "l2": args.l2, "seed": args.seed, "tuned": bool(args.tune_dev)}
     _emit(args.out, save_model(model), "train", config, inputs)
     print(f"trained {len(model.labels)} label heads -> {args.out}")
     return 0
@@ -497,11 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the hierarchical baseline")
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=[MODE_TEXT, MODE_TEXT_CAPTION], default=MODE_TEXT)
-    p.add_argument("--dim", type=int, default=2**18)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--mode", choices=[MODE_TEXT, MODE_TEXT_CAPTION], default=FeatureConfig.mode)
+    p.add_argument("--dim", type=int, default=FeatureConfig.dimension)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
     p.add_argument("--tune-dev", dest="tune_dev",
                    help="labeled dev corpus for threshold tuning")
     p.add_argument("--seed", type=int, default=None)
@@ -539,12 +539,11 @@ def main(argv: list[str] | None = None, transport=None) -> int:
         logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    args._config_data = {}
     try:
-        if args.config:
-            args._config_data = json.loads(_read_text(args.config))
-            if not isinstance(args._config_data, dict):
-                raise ValueError("--config must contain a JSON object")
+        config = json.loads(_read_text(args.config)) if args.config else {}
+        if not isinstance(config, dict):
+            raise ValueError("--config must contain a JSON object")
+        _resolve(args, config)
         # caption alone takes the injectable transport (tests, benchmarks).
         extra = {"transport": transport} if args.command == "caption" else {}
         return COMMANDS[args.command](args, **extra)

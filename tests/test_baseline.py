@@ -895,6 +895,8 @@ def _corrupt(payload, key, value):
     ("bias", lambda b: b[:-1], "bias must hold 3 numbers"),
     ("thresholds", lambda t: t + [0.5], "thresholds must hold 3 numbers"),
     ("seed", None, "malformed"),
+    ("hierarchy_fingerprint", 5, "hierarchy_fingerprint must be a string, not 5"),
+    ("hierarchy_fingerprint", None, "hierarchy_fingerprint must be a string, not null"),
 ])
 def test_load_rejects_inconsistent_files(key, value, message):
     good = json.loads(save_model(train(MEMORIZE, H, FeatureConfig(dimension=2**10))))

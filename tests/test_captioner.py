@@ -326,6 +326,11 @@ def test_checkpoint_resume_only_incomplete(tmp_path):
     ('{"id": "a", "status": ["ok_prompt1"]}', "'status'"),
     ('{"id": "a", "status": "ok_prompt1", "attempts": "many"}', "attempts"),
     ('{"id": "a", "status": "ok_prompt1", "attempts": [1]}', "attempts"),
+    ('{"id": "a", "status": "done", "caption": "x"}', 'unknown status "done"'),
+    ('{"id": "a", "status": "transport_error", "caption": 5}', "caption must be a string"),
+    ('{"id": "a", "status": "ok_prompt2", "caption": null}', "must hold a string caption"),
+    ('{"id": "a", "status": "ok_prompt1", "caption": "x", "model": null}',
+     "model must be a string"),
 ])
 def test_load_checkpoint_rejects_bad_records(tmp_path, line, problem):
     ck = tmp_path / "ck.jsonl"

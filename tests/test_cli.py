@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from persuasionkit import textmetrics
-from persuasionkit.cli import main
+from persuasionkit.baseline import FeatureConfig, TrainConfig
+from persuasionkit.cli import build_parser, main
 from persuasionkit.corpus import load_captions, load_predictions
 
 from mocks import ScriptedTransport, ok_response, refusal_response
@@ -804,6 +805,34 @@ def test_caption_refuses_checkpoint_attempts_of_the_wrong_type(tmp_path, capsys,
     assert transport.requests == []
 
 
+@pytest.mark.parametrize("record, problem", [
+    ({"id": "a", "status": "ok_prompt1", "caption": 5},
+     "caption must be a string or null, not 5"),
+    ({"id": "a", "status": "refused_both", "caption": ["x"]},
+     'caption must be a string or null, not ["x"]'),
+    ({"id": "a", "status": "ok_prompt1", "caption": None},
+     "an ok_prompt1 record must hold a string caption"),
+    ({"id": "a", "status": "ok_prompt2"}, "an ok_prompt2 record must hold a string caption"),
+    ({"id": "a", "status": "ok_prompt1", "caption": "x", "model": 7},
+     "model must be a string, not 7"),
+    ({"id": "a", "status": "ok", "caption": "x"}, 'unknown status "ok"'),
+])
+def test_caption_refuses_checkpoint_fields_the_writer_never_writes(
+        tmp_path, capsys, record, problem):
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    good = json.dumps({"id": "b", "status": "ok_prompt1", "caption": "y", "model": "m"})
+    ck = write(tmp_path / "ck.jsonl", good + "\n" + json.dumps(record) + "\n")
+    caps = tmp_path / "captions.json"
+    transport = ScriptedTransport()
+    rc = main(["caption", "--corpus", corpus, "--out", ck, "--captions-out", str(caps)],
+              transport=transport)
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: checkpoint line 2: {problem}"]
+    assert transport.requests == []
+    assert not caps.exists()
+
+
 TORN_CORPUS = [
     {"id": f"t{k}", "text": f"text {k}", "image": f"https://img.test/t{k}.png"}
     for k in range(4)
@@ -1085,6 +1114,124 @@ def test_caption_refuses_a_wrongly_typed_config_value_before_any_request(
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert transport.requests == []
+
+
+# Each layered option: its flag, its environment variable, the manifest
+# field that records it, its default, and a value for the flag, the config
+# file and the environment.
+LAYERED = [
+    ("endpoint", "--endpoint", "PERSUASIONKIT_ENDPOINT", "endpoint", "",
+     ("https://flag.test", "https://config.test", "https://env.test")),
+    ("model_name", "--model-name", "PERSUASIONKIT_MODEL", "model", "gpt-4-vision-preview",
+     ("model-flag", "model-config", "model-env")),
+    ("credential_env", "--credential-env", "PERSUASIONKIT_CREDENTIAL_ENV", "credential_env",
+     "PERSUASIONKIT_API_KEY", ("KEY_FLAG", "KEY_CONFIG", "KEY_ENV")),
+    ("rate_limit", "--rate-limit", "PERSUASIONKIT_RATE_LIMIT", "rate_limit", None,
+     (6e6, 7e6, 8e6)),
+    ("jobs", "--jobs", "PERSUASIONKIT_JOBS", "jobs", 1, (2, 3, 4)),
+    ("seed", "--seed", "PERSUASIONKIT_SEED", "seed", 0, (3, 5, 7)),
+]
+
+
+@pytest.mark.parametrize("key, flag, var, field, default, values", LAYERED,
+                         ids=[row[0] for row in LAYERED])
+def test_layered_option_precedence(tmp_path, monkeypatch, key, flag, var, field, default,
+                                   values):
+    # flag > config > environment > default, read back from the manifest
+    # of every command that records the option.
+    flag_value, config_value, env_value = values
+    captioned = write(tmp_path / "captioned.json", json.dumps(CAPTION_CORPUS))
+    corpus = _write_mem_corpus(tmp_path)
+    runs = iter(range(100))
+
+    def run(command, layers):
+        n = next(runs)
+        for row in LAYERED:
+            monkeypatch.delenv(row[2], raising=False)
+        if "env" in layers:
+            monkeypatch.setenv(var, str(env_value))
+        out = str(tmp_path / f"out{n}")
+        argv = []
+        if "config" in layers:
+            argv += ["--config", write(tmp_path / f"cfg{n}.json", json.dumps({key: config_value}))]
+        argv += {
+            "caption": ["caption", "--corpus", captioned, "--out", out],
+            "train": ["train", "--hierarchy", WORKED_H, "--corpus", corpus,
+                      "--dim", "1024", "--epochs", "1", "--out", out],
+        }[command]
+        if "flag" in layers:
+            argv += [flag, str(flag_value)]
+        assert main(argv, transport=ScriptedTransport()) == 0
+        return read_json(out + ".manifest.json")["config"][field]
+
+    for command in ["caption"] + (["train"] if key == "seed" else []):
+        assert run(command, set()) == default
+        assert run(command, {"env"}) == env_value
+        assert run(command, {"env", "config"}) == config_value
+        assert run(command, {"env", "config", "flag"}) == flag_value
+
+
+@pytest.mark.parametrize("command", ["validate", "score", "train", "caption"])
+@pytest.mark.parametrize("cfg, named", [
+    ({"epochs": 1}, "'epochs'"),
+    ({"sed": 3}, "'sed'"),
+    ({"seed": 3, "dim": 1024, "epochs": 1}, "'dim', 'epochs'"),
+])
+def test_unknown_config_key_is_refused_before_anything_runs(
+        tmp_path, capsys, command, cfg, named):
+    out = tmp_path / "out.json"
+    corpus = _write_mem_corpus(tmp_path)
+    argv = {
+        "validate": ["validate", "--hierarchy", WORKED_H, "--corpus", corpus],
+        "score": ["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED,
+                  "--out", str(out)],
+        "train": ["train", "--hierarchy", WORKED_H, "--corpus", corpus, "--out", str(out)],
+        "caption": ["caption", "--corpus", write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS)),
+                    "--out", str(out)],
+    }[command]
+    before = set(os.listdir(tmp_path))
+    transport = ScriptedTransport()
+    rc = main(["--config", write(tmp_path / "cfg.json", json.dumps(cfg))] + argv,
+              transport=transport)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown config key {named}; a --config file may set only "
+                            "endpoint, model_name, credential_env, rate_limit, jobs, seed\n")
+    assert set(os.listdir(tmp_path)) == before | {"cfg.json"}
+    assert transport.requests == []
+
+
+def test_a_known_config_key_the_command_does_not_take_is_ignored(tmp_path):
+    out = str(tmp_path / "r.json")
+    rc = main(["--config", write(tmp_path / "cfg.json", json.dumps({"endpoint": 5})),
+               "score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED,
+               "--out", out])
+    assert rc == 0
+    assert read_json(out)["task"] == "binary"
+
+
+def test_train_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["train", "--hierarchy", "h", "--corpus", "c",
+                                      "--out", "m"])
+    assert FeatureConfig(dimension=args.dim, mode=args.mode) == FeatureConfig()
+    assert TrainConfig(epochs=args.epochs, learning_rate=args.lr, l2=args.l2) == TrainConfig()
+
+
+def test_module_entry_exits_with_the_command_status(tmp_path):
+    # python -m persuasionkit runs entrypoint, which turns main's status
+    # into the process's exit status.
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg = write(tmp_path / "cfg.json", json.dumps({"sed": 3}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "persuasionkit", "--config", cfg, "validate",
+         "--hierarchy", WORKED_H],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: unknown config key 'sed'")
+    assert "Traceback" not in proc.stderr
 
 
 def test_report_and_manifest_key_sets(tmp_path):
