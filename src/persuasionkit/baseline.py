@@ -55,6 +55,10 @@ logger = logging.getLogger(__name__)
 MODE_TEXT = "text"
 MODE_TEXT_CAPTION = "text+caption"
 
+# The n-gram orders of every feature space; load_model refuses others.
+_WORD_ORDERS = (1, 2)
+_CHAR_ORDERS = (3, 4, 5)
+
 # Bias used for heads with zero positive examples: sigmoid(-50) is far
 # below any threshold the tuner can pick.
 _NEGATIVE_BIAS = -50.0
@@ -91,8 +95,6 @@ class FeatureConfig:
     """
 
     dimension: int = 2**18
-    word_orders: tuple[int, ...] = (1, 2)
-    char_orders: tuple[int, ...] = (3, 4, 5)
     mode: str = MODE_TEXT
 
     def __post_init__(self):
@@ -103,10 +105,6 @@ class FeatureConfig:
                 f"feature dimension {self.dimension} is too large: bucket indices must "
                 "fit a signed 64-bit integer, so it may be at most 2**62"
             )
-        for name in ("word_orders", "char_orders"):
-            orders = getattr(self, name)  # a bool is not an order
-            if not all(type(n) is int and n >= 1 for n in orders):
-                raise ValueError(f"{name} must be integers of at least 1, not {orders!r}")
         if self.mode not in (MODE_TEXT, MODE_TEXT_CAPTION):
             raise ValueError(f"mode must be {MODE_TEXT!r} or {MODE_TEXT_CAPTION!r}")
 
@@ -133,8 +131,8 @@ class TrainConfig:
 # A memo is a pure cache of _hash_feature, so sharing it across callers
 # changes no result.  A memo that reaches _HASH_MEMO_SIZE entries is
 # cleared, so memory stays bounded on corpora with more distinct n-grams:
-# about 12 MB per full memo, and the default orders in text+caption mode
-# use 10 memos per dimension.
+# about 12 MB per full memo, and text+caption mode uses 10 memos per
+# dimension.
 _HASH_MEMO_SIZE = 2**16
 _hash_memos: dict[tuple[int, str], dict[str, tuple[int, float]]] = {}
 
@@ -163,12 +161,12 @@ def _add_grams(vec: dict[int, float], grams: list[str], tag: str, dim: int):
 
 def _accumulate(vec: dict[int, float], text: str, prefix: str, cfg: FeatureConfig):
     tokens = tokenize(text)
-    for n in cfg.word_orders:
+    for n in _WORD_ORDERS:
         grams = tokens if n == 1 else [
             " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
         _add_grams(vec, grams, f"{prefix}w{n}:", cfg.dimension)
     chars = " ".join(text.lower().split())
-    for n in cfg.char_orders:
+    for n in _CHAR_ORDERS:
         _add_grams(vec, [chars[i : i + n] for i in range(len(chars) - n + 1)],
                    f"{prefix}c{n}:", cfg.dimension)
 
@@ -176,14 +174,13 @@ def _accumulate(vec: dict[int, float], text: str, prefix: str, cfg: FeatureConfi
 def featurize(text: str, caption: str | None, cfg: FeatureConfig) -> dict[int, float]:
     """Signed hashed n-gram counts, L2-normalized; bucket index -> value.
 
-    Every word n-gram of :func:`tokenize`'s tokens (orders
-    ``cfg.word_orders``) and every character n-gram of the lowercased text
-    with whitespace collapsed to single spaces (orders ``cfg.char_orders``)
-    is hashed, with a tag naming its kind and order (``w2:``, ``c4:``), by
-    BLAKE2b to one of ``cfg.dimension`` buckets and a sign of +1 or -1
-    (Weinberger et al. 2009).  A bucket's value is the sum of the signs of
-    the n-grams that land in it, so the counts are exact small integers and
-    colliding n-grams may cancel.
+    Every word 1- and 2-gram of :func:`tokenize`'s tokens and every
+    character 3-, 4- and 5-gram of the lowercased text with whitespace
+    collapsed to single spaces is hashed, with a tag naming its kind and
+    order (``w2:``, ``c4:``), by BLAKE2b to one of ``cfg.dimension``
+    buckets and a sign of +1 or -1 (Weinberger et al. 2009).  A bucket's
+    value is the sum of the signs of the n-grams that land in it, so the
+    counts are exact small integers and colliding n-grams may cancel.
 
     In text+caption mode the caption's n-grams carry an extra ``C|``
     namespace prefix, so a caption token hashes independently of the same
@@ -690,8 +687,8 @@ def save_model(model: HierModel) -> bytes:
         "labels": list(model.labels),
         "feature_config": {
             "dimension": model.feature_config.dimension,
-            "word_orders": list(model.feature_config.word_orders),
-            "char_orders": list(model.feature_config.char_orders),
+            "word_orders": list(_WORD_ORDERS),
+            "char_orders": list(_CHAR_ORDERS),
             "mode": model.feature_config.mode,
         },
         "hierarchy_fingerprint": model.hierarchy_fingerprint,
@@ -718,9 +715,9 @@ def load_model(data: bytes) -> HierModel:
     bool, a string or a float for an integer; a bool or a string for a
     number; anything but a string for the hierarchy fingerprint), whose
     weights, bias or thresholds disagree in shape with its labels and
-    feature dimension, whose dimension is not a power of two or is above
-    2**62, whose weights or bias are not finite or whose thresholds are
-    not in (0, 1).  The rows may come in any order.
+    feature dimension, whose n-gram orders are not the fixed ones, whose
+    dimension is not a power of two or is above 2**62, whose weights or
+    bias are not finite or whose thresholds are not in (0, 1).  The rows may come in any order.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
@@ -740,12 +737,13 @@ def load_model(data: bytes) -> HierModel:
         raise ValueError(f"model file is missing {', '.join(missing)}")
     dimension = read_int(fc["dimension"], "malformed model file: feature_config.dimension")
     seed = read_int(payload["seed"], "malformed model file: seed")
-    try:
-        word_orders, char_orders = tuple(fc["word_orders"]), tuple(fc["char_orders"])
-    except TypeError as exc:
-        raise ValueError(f"malformed model file: {exc}") from None
-    # Its own message names a bad dimension, order or mode.
-    cfg = FeatureConfig(dimension, word_orders, char_orders, fc["mode"])
+    for name, orders in (("word_orders", _WORD_ORDERS), ("char_orders", _CHAR_ORDERS)):
+        # As JSON, so that [true, 2] and [1.0, 2.0] differ from [1, 2].
+        if json.dumps(fc[name]) != json.dumps(list(orders)):
+            raise ValueError(f"model file: feature_config.{name} must be "
+                             f"{json.dumps(list(orders))}, not {json.dumps(fc[name])}")
+    # Its own message names a bad dimension or mode.
+    cfg = FeatureConfig(dimension, fc["mode"])
     fingerprint = payload["hierarchy_fingerprint"]
     if not isinstance(fingerprint, str):
         raise ValueError("malformed model file: hierarchy_fingerprint must be a string, "

@@ -16,6 +16,7 @@ never written to logs, checkpoints or reports.
 from __future__ import annotations
 
 import base64
+import fcntl
 import json
 import logging
 import math
@@ -421,8 +422,6 @@ def _cut_torn_tail(path: str):
 
     Its id then counts as unfinished and is captioned again.
     """
-    if not os.path.exists(path):
-        return
     with open(path, "rb+") as fh:
         data = fh.read()
         if data and not data.endswith(b"\n"):
@@ -501,8 +500,11 @@ def caption_corpus(
     Skips instances that already carry a caption (unless ``force``) and
     ids whose checkpointed status is terminal (ok or refused_both), so
     reruns after an interruption issue requests only for incomplete ids.
-    An unterminated last checkpoint line, left by a crash mid-append, is
-    cut first; a malformed complete line still raises.
+    The checkpoint is opened for appending and locked with an exclusive
+    ``flock`` first, so two runs never write one checkpoint; one that is
+    locked already raises ValueError naming it, and is left as it is.  An
+    unterminated last checkpoint line, left by a crash mid-append, is
+    then cut; a malformed complete line still raises.
     Outcomes are appended to the checkpoint as they complete, by
     ``concurrency`` worker threads; with one worker they follow corpus
     order.  The checkpoint is synced to disk before it is closed.  The
@@ -515,31 +517,9 @@ def caption_corpus(
         raise ValueError(f"concurrency must be at least 1, got {concurrency}")
     clock = clock or _Clock()
     bucket = None if rate_per_minute is None else TokenBucket(rate_per_minute, clock)
-    done: dict[str, CaptionOutcome] = {}
-    if checkpoint_path:
-        _cut_torn_tail(checkpoint_path)
-        for iid, outcome in load_checkpoint(checkpoint_path).items():
-            if outcome.status in _TERMINAL_STATUSES:
-                done[iid] = outcome
-
-    todo: list[MemeInstance] = []
-    skipped_captioned = 0
-    for inst in corpus:
-        if not inst.image:
-            continue
-        if inst.id in done:
-            continue
-        if inst.caption is not None and not force:
-            skipped_captioned += 1
-            continue
-        todo.append(inst)
-    if skipped_captioned:
-        logger.info("skipping %d instances that already have captions", skipped_captioned)
-
-    write_lock = threading.Lock()
-    results: dict[str, CaptionOutcome] = dict(done)
-
     ckpt_fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
+    write_lock = threading.Lock()
+    results: dict[str, CaptionOutcome] = {}
 
     def work(inst: MemeInstance) -> CaptionOutcome:
         outcome = caption_instance(
@@ -554,6 +534,27 @@ def caption_corpus(
         return outcome
 
     try:
+        if ckpt_fh is not None:
+            try:
+                fcntl.flock(ckpt_fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ValueError(
+                    f"checkpoint {checkpoint_path} is locked by another caption run") from None
+            _cut_torn_tail(checkpoint_path)
+            for iid, outcome in load_checkpoint(checkpoint_path).items():
+                if outcome.status in _TERMINAL_STATUSES:
+                    results[iid] = outcome
+        todo: list[MemeInstance] = []
+        skipped_captioned = 0
+        for inst in corpus:
+            if not inst.image or inst.id in results:
+                continue
+            if inst.caption is not None and not force:
+                skipped_captioned += 1
+                continue
+            todo.append(inst)
+        if skipped_captioned:
+            logger.info("skipping %d instances that already have captions", skipped_captioned)
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             list(pool.map(work, todo))
     finally:

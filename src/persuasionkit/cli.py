@@ -87,6 +87,15 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _read_lines(path: str) -> list[str]:
+    """The file's lines, split at newlines alone: a form feed or U+2028
+    inside a line stays in it.  A final newline ends the last line."""
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -142,6 +151,16 @@ def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: 
     """Write one output, then its manifest."""
     _write(out_path, data)
     _write_manifest(out_path, command, config, inputs)
+
+
+def _read_config(path: str) -> dict:
+    try:
+        config = json.loads(_read_text(path))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"--config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"--config {path} must contain a JSON object")
+    return config
 
 
 def _resolve(args: argparse.Namespace, config: dict):
@@ -303,6 +322,9 @@ def _score_hier(args: argparse.Namespace) -> dict:
 
 
 def _score_binary(args: argparse.Namespace) -> dict:
+    for flag, value in (("--beta", args.beta), ("--hierarchy", args.hierarchy)):
+        if value is not None:
+            raise ValueError(f"{flag} applies only to --task hier")
     gold = load_binary_predictions(_read_text(args.gold))
     pred = load_binary_predictions(_read_text(args.pred))
     score = flat_binary_score(gold, pred)
@@ -423,8 +445,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # -- caption-eval ------------------------------------------------------------
 
 def cmd_caption_eval(args: argparse.Namespace) -> int:
-    cands = _read_text(args.candidates).splitlines()
-    refs = _read_text(args.references).splitlines()
+    cands, refs = _read_lines(args.candidates), _read_lines(args.references)
     report_obj = score_caption_pairs(cands, refs)
     report = {
         "n_pairs": report_obj.n_pairs,
@@ -540,9 +561,7 @@ def main(argv: list[str] | None = None, transport=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = json.loads(_read_text(args.config)) if args.config else {}
-        if not isinstance(config, dict):
-            raise ValueError("--config must contain a JSON object")
+        config = _read_config(args.config) if args.config else {}
         _resolve(args, config)
         # caption alone takes the injectable transport (tests, benchmarks).
         extra = {"transport": transport} if args.command == "caption" else {}

@@ -207,13 +207,14 @@ def parse_hierarchy(text: str) -> LabelHierarchy:
 
     Line 1 names the root.  Every further non-comment line is
     ``child<TAB>parent``.  Lines starting with ``#`` and blank lines are
-    ignored.  Raises HierarchyError on empty input, a second bare root
-    line, malformed edges, duplicate edges, unknown parent references and
+    ignored.  Only a newline ends a line, not a form feed or U+2028.
+    Raises HierarchyError on empty input, a second bare root line,
+    malformed edges, duplicate edges, unknown parent references and
     cycles.
     """
     root: str | None = None
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -81,16 +81,12 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def bleu4(
-    candidate: Sequence[str],
-    references: Sequence[Sequence[str]],
-    max_order: int = 4,
-) -> float:
-    """BLEU with clipped modified n-gram precisions up to ``max_order``.
+def bleu4(candidate: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+    """BLEU with clipped modified n-gram precisions of orders 1 to 4.
 
     The geometric mean runs over the orders for which the candidate has at
-    least one n-gram, so candidates shorter than ``max_order`` tokens are
-    scored on the orders they support instead of degenerating to zero.
+    least one n-gram, so candidates shorter than 4 tokens are scored on
+    the orders they support instead of degenerating to zero.
     Brevity penalty exp(1 - r/c) applies when the candidate is shorter
     than the closest reference length r (ties resolve to the shorter
     reference).  An empty candidate scores 0; at least one nonempty
@@ -107,7 +103,7 @@ def bleu4(
 
     log_sum = 0.0
     orders = 0
-    for n in range(1, max_order + 1):
+    for n in range(1, 5):
         cand_counts = _ngram_counts(candidate, n)
         if not cand_counts:
             continue

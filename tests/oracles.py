@@ -269,14 +269,14 @@ def _reference_accumulate(vec: dict, text: str, prefix: str, cfg):
     from persuasionkit.textmetrics import tokenize
 
     tokens = tokenize(text)
-    for n in cfg.word_orders:
+    for n in (1, 2):
         for i in range(len(tokens) - n + 1):
             idx, sign = _reference_hash_feature(
                 f"{prefix}w{n}:" + " ".join(tokens[i : i + n]), cfg.dimension
             )
             vec[idx] = vec.get(idx, 0.0) + sign
     chars = " ".join(text.lower().split())
-    for n in cfg.char_orders:
+    for n in (3, 4, 5):
         for i in range(len(chars) - n + 1):
             idx, sign = _reference_hash_feature(f"{prefix}c{n}:" + chars[i : i + n],
                                                 cfg.dimension)
@@ -427,7 +427,7 @@ def _reference_ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def reference_bleu4(candidate, references, max_order: int = 4) -> float:
+def reference_bleu4(candidate, references) -> float:
     refs = [list(r) for r in references]
     if not refs or all(len(r) == 0 for r in refs):
         raise ValueError("at least one nonempty reference is required")
@@ -439,7 +439,7 @@ def reference_bleu4(candidate, references, max_order: int = 4) -> float:
 
     log_sum = 0.0
     orders = 0
-    for n in range(1, max_order + 1):
+    for n in (1, 2, 3, 4):
         cand_counts = _reference_ngram_counts(candidate, n)
         if not cand_counts:
             continue

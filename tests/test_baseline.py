@@ -130,12 +130,10 @@ def test_hash_memo_is_bounded(monkeypatch):
 
 
 def test_cancelled_buckets_are_dropped():
-    cfg = FeatureConfig(dimension=4, word_orders=(1,), char_orders=())
-    assert featurize("duty calm", None, cfg) == {}
-    assert featurize("duty fear calm naive buy", None, cfg) == {3: -1.0}
-
-
-_ORDERS = st.lists(st.integers(1, 6), min_size=0, max_size=3, unique=True).map(tuple)
+    cfg = FeatureConfig(dimension=4)
+    assert featurize("dog calm", None, cfg) == {}
+    assert featurize("duty naive", None, cfg) == {1: 1.0}  # three of four buckets cancel
+    assert featurize("sun", "buy", FeatureConfig(dimension=4, mode=MODE_TEXT_CAPTION)) == {}
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,19 +142,14 @@ _ORDERS = st.lists(st.integers(1, 6), min_size=0, max_size=3, unique=True).map(t
     caption=st.none() | st.text(max_size=40),
     mode=st.sampled_from((MODE_TEXT, MODE_TEXT_CAPTION)),
     log_dim=st.integers(2, 12),
-    word_orders=st.one_of(st.just((1, 2)), _ORDERS),
-    char_orders=st.one_of(st.just((3, 4, 5)), _ORDERS),
 )
-# At 2^2, "duty"/"calm" and "fear"/"naive" share a bucket with opposite signs.
-@example(text="duty calm", caption=None, mode=MODE_TEXT, log_dim=2,
-         word_orders=(1,), char_orders=())
-@example(text="duty fear buy", caption="calm naive", mode=MODE_TEXT_CAPTION, log_dim=2,
-         word_orders=(1,), char_orders=())
-@example(text="duty fear calm naive buy duty", caption=None, mode=MODE_TEXT, log_dim=2,
-         word_orders=(1,), char_orders=())
-def test_featurize_equals_reference(text, caption, mode, log_dim, word_orders, char_orders):
-    cfg = FeatureConfig(dimension=2**log_dim, word_orders=word_orders,
-                        char_orders=char_orders, mode=mode)
+# At 2^2 every bucket of "dog calm", and of "sun" with the caption "buy",
+# cancels; "duty naive" keeps one bucket of four.
+@example(text="dog calm", caption=None, mode=MODE_TEXT, log_dim=2)
+@example(text="sun", caption="buy", mode=MODE_TEXT_CAPTION, log_dim=2)
+@example(text="duty naive", caption=None, mode=MODE_TEXT, log_dim=2)
+def test_featurize_equals_reference(text, caption, mode, log_dim):
+    cfg = FeatureConfig(dimension=2**log_dim, mode=mode)
     got = featurize(text, caption, cfg)
     want = reference_featurize(text, caption, cfg)
     # The same dict: keys, values and key order.
@@ -168,11 +161,6 @@ def test_feature_config_validation():
         FeatureConfig(dimension=1000)
     with pytest.raises(ValueError, match="mode"):
         FeatureConfig(mode="caption-only")
-    for name, bad in (("word_orders", ("x",)), ("char_orders", ("3", "4")),
-                      ("char_orders", (1.5,)), ("word_orders", (0,)),
-                      ("char_orders", (-2,)), ("word_orders", (True,))):
-        with pytest.raises(ValueError, match=f"{name} must be integers of at least 1"):
-            FeatureConfig(**{name: bad})
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import json
 import os
@@ -161,6 +162,20 @@ def test_score_refuses_a_beta_that_is_not_finite(tmp_path, capsys, beta):
     err = capsys.readouterr().err
     assert "beta must be a finite number" in err and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag", [["--beta", "2"], ["--hierarchy", "/nonexistent.txt"]],
+                         ids=["beta", "hierarchy"])
+def test_score_binary_refuses_hier_flags_before_reading(tmp_path, capsys, flag):
+    # --beta had no effect but was recorded in the manifest; --hierarchy
+    # wrote the report, then failed hashing a file it never read.  The
+    # missing gold file shows that nothing is read first.
+    out = str(tmp_path / "report.json")
+    rc = main(["score", "--task", "binary", "--gold", str(tmp_path / "missing.json"),
+               "--pred", BIN_PRED, "--out", out, *flag])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag[0]} applies only to --task hier\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_score_binary_fixture(tmp_path, capsys):
@@ -397,19 +412,28 @@ def test_predict_refuses_a_model_number_of_the_wrong_type(tmp_path, capsys, save
     assert not os.path.exists(out)
 
 
-_BAD_ORDERS = [("word_orders", ["x"]), ("char_orders", "34"), ("char_orders", [1.5]),
-               ("word_orders", [0]), ("char_orders", [-2]), ("word_orders", [True])]
+# Every model file records the fixed orders [1, 2] and [3, 4, 5]; any
+# other value, of another JSON type too, is refused.
+_BAD_ORDERS = [
+    *[("word_orders", [1, 2], v) for v in (
+        [], [1], [2, 1], [1, 2, 3], [1.0, 2.0], [True, 2], "12", None, ["x"], [0], [True])],
+    *[("char_orders", [3, 4, 5], v) for v in (
+        [], [3], [5, 4, 3], [3, 4, 5, 6], [3.0, 4.0, 5.0], "345", None, "34", [1.5], [-2])],
+]
 
 
 @pytest.mark.parametrize("orders,problem", [
-    *[({key: value}, f"{key} must be integers of at least 1") for key, value in _BAD_ORDERS],
+    *[pytest.param({key: value},
+                   f"model file: feature_config.{key} must be {json.dumps(want)}, "
+                   f"not {json.dumps(value)}", id=f"{key}={json.dumps(value)}")
+      for key, want, value in _BAD_ORDERS],
     (None, "model labels do not match the hierarchy"),
 ])
 def test_predict_refuses_a_model_it_cannot_score(tmp_path, capsys, saved_model, orders, problem):
-    # ["x"], "34" and [1.5] as orders used to end in a TypeError traceback;
-    # [0], [-2] and [true] loaded and scored nonsense.  With no orders
-    # given, the labels are reversed: head j closes through row j of the
-    # hierarchy's closure, so a reordered model would close the wrong sets.
+    # [1.0, 2.0] and [true, 2] equal [1, 2] in Python, but save_model never
+    # writes them.  With no orders given, the labels are reversed: head j
+    # closes through row j of the hierarchy's closure, so a reordered model
+    # would close the wrong sets.
     corpus, text = saved_model
     payload = json.loads(text)
     if orders is None:
@@ -883,6 +907,27 @@ def test_caption_torn_tail_is_cut_with_a_warning(tmp_path, caplog):
     assert read_text(ck).startswith(good + "\n" + "{")
 
 
+def test_caption_refuses_a_checkpoint_another_run_holds(tmp_path, capsys):
+    # While another process holds the lock, no request is sent and the
+    # checkpoint, torn tail included, is left as it is.
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    good = json.dumps({"id": "a", "status": "ok_prompt1", "caption": "x"})
+    ck = write(tmp_path / "ck.jsonl", good + "\n" + good[:9])
+    before = Path(ck).read_bytes()
+    transport = ScriptedTransport()
+    with open(ck, "ab") as held:
+        fcntl.flock(held.fileno(), fcntl.LOCK_EX)
+        rc = main(["caption", "--corpus", corpus, "--out", ck], transport=transport)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: checkpoint {ck} is locked by another caption run\n"
+    assert transport.requests == []
+    assert Path(ck).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "ck.jsonl"]
+    # Once the lock is released the same run resumes.
+    assert main(["caption", "--corpus", corpus, "--out", ck], transport=transport) == 0
+    assert len(transport.requests) == 1
+
+
 def test_caption_requires_endpoint(tmp_path, capsys):
     corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
     rc = main(["caption", "--corpus", corpus, "--out", str(tmp_path / "ck.jsonl")])
@@ -941,6 +986,34 @@ def test_caption_eval_misaligned_files(tmp_path, capsys):
     rc = main(["caption-eval", "--candidates", cand, "--references", ref])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"], ids=lambda c: f"U+{ord(c):04X}")
+def test_caption_eval_splits_lines_at_newlines_only(tmp_path, capsys, sep):
+    # str.splitlines also breaks at these: three candidates against two
+    # references exited 1, and a separator in both files scored 3 pairs.
+    cands, refs = [f"the cat{sep}sat", "a red dog"], ["the cat sat", f"a red{sep}dog"]
+    cand = write(tmp_path / "cand.txt", "\n".join(cands) + "\n")
+    ref = write(tmp_path / "ref.txt", "\n".join(refs) + "\n")
+    out = str(tmp_path / "report.json")
+    assert main(["caption-eval", "--candidates", cand, "--references", ref, "--out", out]) == 0
+    want = textmetrics.score_caption_pairs(cands, refs)
+    assert read_json(out)["n_pairs"] == 2
+    assert read_json(out)["rouge_l"]["f1"] == want.rouge_l_f1
+    assert read_json(out)["bleu_4"] == want.bleu_4
+
+
+def test_caption_eval_final_newline_adds_no_pair_and_empty_files_fail(tmp_path, capsys):
+    for name, text in (("one.txt", "a b\n"), ("bare.txt", "a b"), ("empty.txt", "")):
+        write(tmp_path / name, text)
+    out = str(tmp_path / "report.json")
+    assert main(["caption-eval", "--candidates", str(tmp_path / "one.txt"),
+                 "--references", str(tmp_path / "bare.txt"), "--out", out]) == 0
+    assert read_json(out)["n_pairs"] == 1
+    empty = str(tmp_path / "empty.txt")
+    assert main(["caption-eval", "--candidates", empty, "--references", empty]) == 1
+    assert capsys.readouterr().err.endswith("error: no caption pairs to score\n")
 
 
 def _caption_pairs(path, seed=7, pairs=40):
@@ -1071,6 +1144,20 @@ def test_config_must_be_object(tmp_path, capsys):
     rc = main(["--config", cfg, "validate", "--hierarchy", WORKED_H])
     assert rc == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,problem", [
+    (b'{"seed": 1,}', "Expecting property name"),
+    (b'{"seed": "\xff"}', "'utf-8' codec can't decode"),
+], ids=["bad-json", "bad-utf8"])
+def test_unreadable_config_is_named(tmp_path, capsys, data, problem):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    rc = main(["--config", str(cfg), "validate", "--hierarchy", WORKED_H])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --config {cfg}: {problem}"), err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cfg,env,message", [

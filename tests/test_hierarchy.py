@@ -37,6 +37,20 @@ def test_parse_ignores_comments_and_blanks():
     assert h.nodes == {"persuasion", "Ethos"}
 
 
+# The separators str.splitlines() breaks at besides newlines.
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_NEWLINES, ids=lambda c: f"U+{ord(c):04X}")
+def test_parse_splits_lines_at_newlines_only(sep):
+    # With str.splitlines, "feed" became line 3, a bare name, and the
+    # valid edge after it was refused.
+    h = parse_hierarchy(f"persuasion\n# form{sep}feed\nEthos\tpersuasion\n")
+    assert h.nodes == {"persuasion", "Ethos"}
+    with pytest.raises(HierarchyError, match="^line 3: expected child<TAB>parent"):
+        parse_hierarchy(f"persuasion\n# form{sep}feed\nEthos\n")
+
+
 def test_is_consistent():
     h = parse_hierarchy(WORKED)
     assert h.is_consistent({"NameCalling", "Ethos"})
