@@ -721,7 +721,7 @@ def load_model(data: bytes) -> HierModel:
     """
     try:
         payload = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to read
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int too long, too deep
         raise ValueError(f"not a model file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("kind") != _MODEL_KIND:
         raise ValueError("not a model file (bad kind marker)")

@@ -26,8 +26,8 @@ import random
 import re
 import threading
 import time
-from collections.abc import Callable, Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from .corpus import MemeInstance, read_int
@@ -174,19 +174,19 @@ class TransportError(RuntimeError):
 _RETRYABLE_4XX = frozenset({408, 429})
 
 
-def _image_part(image_ref: str) -> dict:
-    """Build the image message part; local files become data URLs.
+def _image_url(image_ref: str) -> str:
+    """The image part's URL: a local file becomes a data URL.
 
-    Image bytes are passed through opaquely (base64), never decoded.  URLs
-    and unknown references are left for the provider to resolve.
+    Image bytes are passed through opaquely (base64), never decoded.  URLs,
+    data URLs among them, and unknown references are returned as they are,
+    for the provider to resolve.
     """
-    url = image_ref
     if not re.match(r"^(https?|data):", image_ref) and os.path.exists(image_ref):
         mime = mimetypes.guess_type(image_ref)[0] or "application/octet-stream"
         with open(image_ref, "rb") as fh:
             payload = base64.b64encode(fh.read()).decode("ascii")
-        url = f"data:{mime};base64,{payload}"
-    return {"type": "image_url", "image_url": {"url": url}}
+        return f"data:{mime};base64,{payload}"
+    return image_ref
 
 
 def build_request(cfg: ProviderConfig, prompt: str, image_ref: str) -> dict:
@@ -198,7 +198,7 @@ def build_request(cfg: ProviderConfig, prompt: str, image_ref: str) -> dict:
                 "role": "user",
                 "content": [
                     {"type": "text", "text": prompt},
-                    _image_part(image_ref),
+                    {"type": "image_url", "image_url": {"url": _image_url(image_ref)}},
                 ],
             }
         ],
@@ -366,21 +366,25 @@ def caption_instance(
 ) -> CaptionOutcome:
     """Run the two-prompt protocol for one instance.
 
-    Requires an image reference.  The caption is logged (not truncated)
-    if it exceeds the prompts' 200-word budget.  Each wire request, on either
-    prompt and on every retry, first takes a token from ``bucket``.
+    Requires an image reference.  A local image is read and encoded once,
+    before the first request, and both prompts carry that data URL; an
+    unreadable one raises OSError before anything is sent.  The caption is
+    logged (not truncated) if it exceeds the prompts' 200-word budget.  Each
+    wire request, on either prompt and on every retry, first takes a token
+    from ``bucket``.
     """
     if not inst.image:
         raise ValueError(f"instance {inst.id!r} has no image reference")
     clock = clock or _Clock()
     rng = rng or random.Random()
+    image = _image_url(inst.image)
     attempts = 0
     for template, ok_status in (
         (PRIMARY_PROMPT, STATUS_OK_PROMPT1),
         (FALLBACK_PROMPT, STATUS_OK_PROMPT2),
     ):
         prompt = render_prompt(template, inst.text)
-        body = build_request(cfg, prompt, inst.image)
+        body = build_request(cfg, prompt, image)
         resp, used = _send_with_retries(transport, inst.id, body, clock, rng, bucket)
         attempts += used
         if resp is None:
@@ -451,7 +455,7 @@ def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
             where = f"checkpoint line {lineno}"
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
                 raise ValueError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{where}: record is not a JSON object")
@@ -505,10 +509,14 @@ def caption_corpus(
     locked already raises ValueError naming it, and is left as it is.  An
     unterminated last checkpoint line, left by a crash mid-append, is
     then cut; a malformed complete line still raises.
-    Outcomes are appended to the checkpoint as they complete, by
-    ``concurrency`` worker threads; with one worker they follow corpus
-    order.  The checkpoint is synced to disk before it is closed.  The
-    returned map includes resumed terminal outcomes.
+    Up to ``concurrency`` worker threads take the instances one at a time
+    from one shared queue, in corpus order, and append each outcome to the
+    checkpoint as it completes; with one worker the lines follow corpus
+    order.  Once a worker raises, or Ctrl-C reaches the calling thread, no
+    worker starts another instance; the call waits for the ones in flight
+    and then raises that exception.  The checkpoint is synced to disk
+    before it is closed.  The returned map includes resumed terminal
+    outcomes.
 
     Raises ValueError, before the checkpoint is touched, for a
     ``concurrency`` below 1 or a rate that is not positive and finite.
@@ -518,20 +526,30 @@ def caption_corpus(
     clock = clock or _Clock()
     bucket = None if rate_per_minute is None else TokenBucket(rate_per_minute, clock)
     ckpt_fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
-    write_lock = threading.Lock()
+    take_lock, write_lock = threading.Lock(), threading.Lock()
+    stop = threading.Event()
     results: dict[str, CaptionOutcome] = {}
 
-    def work(inst: MemeInstance) -> CaptionOutcome:
-        outcome = caption_instance(
-            inst, cfg, transport, clock=clock, rng=random.Random(f"{seed}:{inst.id}"),
-            bucket=bucket,
-        )
-        with write_lock:
-            if ckpt_fh is not None:
-                ckpt_fh.write(json.dumps(_outcome_record(outcome), ensure_ascii=False) + "\n")
-                ckpt_fh.flush()
-            results[outcome.id] = outcome
-        return outcome
+    def work(queue: Iterator[MemeInstance]):
+        try:
+            while not stop.is_set():
+                with take_lock:
+                    inst = next(queue, None)
+                if inst is None:
+                    return
+                outcome = caption_instance(
+                    inst, cfg, transport, clock=clock, rng=random.Random(f"{seed}:{inst.id}"),
+                    bucket=bucket,
+                )
+                with write_lock:
+                    if ckpt_fh is not None:
+                        ckpt_fh.write(
+                            json.dumps(_outcome_record(outcome), ensure_ascii=False) + "\n")
+                        ckpt_fh.flush()
+                    results[outcome.id] = outcome
+        except BaseException:
+            stop.set()
+            raise
 
     try:
         if ckpt_fh is not None:
@@ -555,8 +573,15 @@ def caption_corpus(
             todo.append(inst)
         if skipped_captioned:
             logger.info("skipping %d instances that already have captions", skipped_captioned)
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            list(pool.map(work, todo))
+        workers = min(concurrency, len(todo))
+        if workers:
+            queue = iter(todo)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                try:
+                    for job in as_completed([pool.submit(work, queue) for _ in range(workers)]):
+                        job.result()
+                finally:
+                    stop.set()
     finally:
         if ckpt_fh is not None:
             try:

@@ -156,7 +156,7 @@ def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: 
 def _read_config(path: str) -> dict:
     try:
         config = json.loads(_read_text(path))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or nested too deeply
         raise ValueError(f"--config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"--config {path} must contain a JSON object")

@@ -69,7 +69,7 @@ def _records(text: str, what: str) -> Iterator[tuple[int, str, dict]]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise CorpusError(f"{what}: invalid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise CorpusError(f"{what}: expected a top-level array of records")

@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -34,6 +35,7 @@ from persuasionkit.captioner import (
     load_checkpoint,
     render_prompt,
 )
+from persuasionkit.cli import main
 from persuasionkit.corpus import MemeInstance
 
 from mocks import FakeClock, PerInstanceTransport, ScriptedTransport, ok_response, refusal_response
@@ -412,6 +414,111 @@ def test_concurrent_run_completes(tmp_path):
     for jobs in (2, 4):
         assert runs[jobs][0] == out
         assert sorted(runs[jobs][1]) == sorted(lines)
+
+
+class _HeldTransport(ScriptedTransport):
+    """Answers a request only once ``release`` is set, and 50 ms later: time
+    for the worker that set it to set its stop too."""
+
+    def __init__(self, release: threading.Event):
+        super().__init__()
+        self.release = release
+
+    def send(self, body: dict) -> dict:
+        self.release.wait(10)
+        time.sleep(0.05)
+        return super().send(body)
+
+
+def _sent_images(transport) -> list[str]:
+    return [req["messages"][0]["content"][1]["image_url"]["url"] for req in transport.requests]
+
+
+def test_shared_queue_gives_each_meme_to_one_worker(tmp_path):
+    # More workers than CPUs and a short switch interval: each meme is
+    # taken once, sent once and checkpointed once.
+    corpus = [inst(f"i{k}", f"t{k}", f"https://img.test/{k}.png") for k in range(400)]
+    t, ck = ScriptedTransport(), tmp_path / "ck.jsonl"
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = caption_corpus(corpus, CFG, t, checkpoint_path=str(ck), concurrency=8,
+                             clock=_Clock(lambda: 0.0, lambda s: None))
+    finally:
+        sys.setswitchinterval(old)
+    assert sorted(_sent_images(t)) == sorted(i.image for i in corpus)
+    lines = ck.read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["id"] for line in lines) == sorted(out) == sorted(
+        i.id for i in corpus)
+
+
+@pytest.mark.parametrize("jobs, bad_at", [(1, 5), (2, 0), (4, 0)])
+def test_unreadable_image_stops_every_worker(tmp_path, monkeypatch, capsys, jobs, bad_at):
+    memes = [{"id": f"m{k}", "text": f"text {k}", "image": f"https://img.test/{k}.png"}
+             for k in range(200)]
+    bad = tmp_path / "not-an-image"
+    bad.mkdir()
+    memes[bad_at]["image"] = str(bad)
+    corpus, ck = tmp_path / "c.json", tmp_path / "ck.jsonl"
+    corpus.write_text(json.dumps(memes), encoding="utf-8")
+    argv = ["caption", "--corpus", str(corpus), "--out", str(ck), "--jobs", str(jobs)]
+    failed = threading.Event()
+    real = captioner.caption_instance
+
+    def noting_failure(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except OSError:
+            failed.set()
+            raise
+
+    monkeypatch.setattr(captioner, "caption_instance", noting_failure)
+    # With several workers, every request waits until the bad meme has
+    # raised, so each other worker is inside a meme when the stop comes.
+    transport = ScriptedTransport() if jobs == 1 else _HeldTransport(failed)
+    assert main(argv, transport=transport) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(bad) in err and err.count("\n") == 1, err
+    text = ck.read_text(encoding="utf-8")
+    assert text == "".join(line + "\n" for line in text.splitlines())  # whole lines only
+    done = {json.loads(line)["id"] for line in text.splitlines()}
+    sent = _sent_images(transport)
+    if jobs == 1:
+        # One worker takes the memes in corpus order and stops at the bad one.
+        assert sent == [m["image"] for m in memes[:bad_at]]
+    else:
+        # The bound: each of the other jobs - 1 workers finishes the meme it
+        # holds and starts no other.
+        assert len(sent) <= jobs - 1
+    assert sorted(sent) == sorted(m["image"] for m in memes if m["id"] in done)
+
+    del memes[bad_at]
+    corpus.write_text(json.dumps(memes), encoding="utf-8")
+    rerun = ScriptedTransport()
+    assert main(argv, transport=rerun) == 0
+    assert sorted(_sent_images(rerun)) == sorted(m["image"] for m in memes
+                                                 if m["id"] not in done)
+
+
+def test_both_prompts_carry_one_read_of_the_image(tmp_path, monkeypatch):
+    # A refused primary prompt sends the fallback: both bodies are exactly
+    # what build_request makes of the path, and the file is read once.
+    p = tmp_path / "meme.png"
+    p.write_bytes(b"\x89PNG fake bytes")
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(captioner, "open", counting_open, raising=False)
+    t = ScriptedTransport([refusal_response(), ok_response("second")])
+    out = caption_instance(inst(image=str(p)), CFG, t, clock=_Clock(lambda: 0.0, lambda s: None))
+    assert out.status == STATUS_OK_PROMPT2
+    assert opened == [str(p)]
+    want = [build_request(CFG, render_prompt(template, "HELLO"), str(p))
+            for template in (PRIMARY_PROMPT, FALLBACK_PROMPT)]
+    assert [json.dumps(body) for body in t.requests] == [json.dumps(body) for body in want]
 
 
 def test_token_bucket_validation():

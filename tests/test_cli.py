@@ -965,6 +965,64 @@ def test_caption_rejects_bad_rate_or_jobs_before_any_request(tmp_path, capsys, m
 
 # -- caption-eval ----------------------------------------------------------------
 
+# Runs caption against a transport that answers in 10 ms, announces
+# "captioning" on stdout at the fourth request, and takes 0.5 s for each
+# later one, so every worker is inside a meme when SIGINT comes.  SIGINT
+# raises KeyboardInterrupt even where the test run ignores it, as a
+# shell's background job does.
+_CAPTION_SCRIPT = """
+import signal, sys, threading, time
+from persuasionkit.cli import main
+signal.signal(signal.SIGINT, signal.default_int_handler)
+class Transport:
+    def __init__(self):
+        self.sent, self.lock = 0, threading.Lock()
+    def send(self, body):
+        with self.lock:
+            self.sent += 1
+            sent = self.sent
+        if sent == 4:
+            print("captioning", flush=True)
+        time.sleep(0.01 if sent <= 4 else 0.5)
+        return {"choices": [{"finish_reason": "stop", "message": {"content": "a caption"}}]}
+sys.exit(main(sys.argv[1:], transport=Transport()))
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_caption_starts_no_new_meme(tmp_path, jobs):
+    # SIGINT lets each worker finish the meme it holds; none starts
+    # another, and the checkpoint holds whole lines only.
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    memes = [{"id": f"m{k}", "text": f"text {k}", "image": f"https://img.test/{k}.png"}
+             for k in range(1000)]
+    corpus = write(tmp_path / "c.json", json.dumps(memes))
+    ck = tmp_path / "ck.jsonl"
+    argv = ["caption", "--corpus", corpus, "--out", str(ck), "--jobs", str(jobs)]
+    proc = subprocess.Popen([sys.executable, "-c", _CAPTION_SCRIPT, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no fourth request"
+        assert proc.stdout.readline() == "captioning\n"
+        proc.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        _, stderr = proc.communicate(timeout=60)
+        elapsed = time.monotonic() - start
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == -signal.SIGINT, stderr
+    assert "KeyboardInterrupt" in stderr
+    assert elapsed < 5.0
+    text = read_text(ck)
+    assert text == "".join(line + "\n" for line in text.splitlines())
+    # Four requests announce; then each worker finishes at most one meme.
+    assert len(text.splitlines()) <= 4 + jobs - 1
+
+
 def test_caption_eval(tmp_path, capsys):
     cand = write(tmp_path / "cand.txt", "the cat sat\n")
     ref = write(tmp_path / "ref.txt", "the cat was sat\n")
@@ -1158,6 +1216,33 @@ def test_unreadable_config_is_named(tmp_path, capsys, data, problem):
     err = capsys.readouterr().err
     assert err.startswith(f"error: --config {cfg}: {problem}"), err
     assert err.count("\n") == 1
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("reader", ["config", "corpus", "model", "checkpoint"])
+def test_deeply_nested_json_is_an_error_not_a_traceback(tmp_path, capsys, reader):
+    deep = write(tmp_path / "deep.json", DEEP_JSON + ("\n" if reader == "checkpoint" else ""))
+    out = str(tmp_path / "out.json")
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    argv, problem = {
+        "config": (["--config", deep, "validate", "--hierarchy", WORKED_H],
+                   f"--config {deep}: "),
+        "corpus": (["train", "--hierarchy", WORKED_H, "--corpus", deep, "--out", out],
+                   "corpus: invalid JSON: "),
+        "model": (["predict", "--model", deep, "--hierarchy", WORKED_H, "--corpus", corpus,
+                   "--out", out], "not a model file: "),
+        "checkpoint": (["caption", "--corpus", corpus, "--out", deep],
+                       "checkpoint line 1: invalid JSON: "),
+    }[reader]
+    transport = ScriptedTransport()
+    assert main(argv, transport=transport) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problem}maximum recursion depth exceeded"), err
+    assert err.count("\n") == 1
+    assert transport.requests == []
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "deep.json"]
 
 
 @pytest.mark.parametrize("cfg,env,message", [
