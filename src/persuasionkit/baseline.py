@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import MemeInstance, read_int, read_number
+from .corpus import MemeInstance, read_int, read_json, read_number
 from .hierarchy import LabelHierarchy
 from .metrics import hierarchical_from_totals
 from .metrics import hierarchical_score  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -710,19 +710,17 @@ _FEATURE_KEYS = ("dimension", "word_orders", "char_orders", "mode")
 def load_model(data: bytes) -> HierModel:
     """Inverse of save_model; validates kind, format version and structure.
 
-    Raises ValueError naming the problem for a file that is not a model,
-    lacks a key, holds a JSON type ``save_model`` never writes there (a
-    bool, a string or a float for an integer; a bool or a string for a
-    number; anything but a string for the hierarchy fingerprint), whose
-    weights, bias or thresholds disagree in shape with its labels and
-    feature dimension, whose n-gram orders are not the fixed ones, whose
-    dimension is not a power of two or is above 2**62, whose weights or
-    bias are not finite or whose thresholds are not in (0, 1).  The rows may come in any order.
+    Raises ValueError naming the problem for a file that is not UTF-8
+    JSON or not a model, lacks a key, holds a JSON type ``save_model``
+    never writes there (a bool, a string or a float for an integer; a bool
+    or a string for a number; anything but a string for the hierarchy
+    fingerprint), whose weights, bias or thresholds disagree in shape with
+    its labels and feature dimension, whose n-gram orders are not the
+    fixed ones, whose dimension is not a power of two or is above 2**62,
+    whose weights or bias are not finite or whose thresholds are not in
+    (0, 1).  The rows may come in any order.
     """
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int too long, too deep
-        raise ValueError(f"not a model file: {exc}") from None
+    payload = read_json(data, "model file")
     if not isinstance(payload, dict) or payload.get("kind") != _MODEL_KIND:
         raise ValueError("not a model file (bad kind marker)")
     version = read_int(payload.get("format_version"), "malformed model file: format_version")

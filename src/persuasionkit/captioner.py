@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
-from .corpus import MemeInstance, read_int
+from .corpus import MemeInstance, read_int, read_json
 
 __all__ = [
     "PromptTemplate",
@@ -438,25 +438,23 @@ def _cut_torn_tail(path: str):
 def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
     """Read a JSONL checkpoint; later records for an id win.
 
-    Raises ValueError naming the line for a line that is not JSON, not an
-    object, or holds what ``_outcome_record`` never writes: no string
-    ``id``, a ``status`` outside the four statuses, a ``caption`` that is
-    neither a string nor null (a string on an ok status), a ``model`` that
-    is not a string, or an ``attempts`` that is not an integer.
+    Raises ValueError naming the line for a line that is not UTF-8 JSON,
+    not an object, or holds what ``_outcome_record`` never writes: no
+    string ``id``, a ``status`` outside the four statuses, a ``caption``
+    that is neither a string nor null (a string on an ok status), a
+    ``model`` that is not a string, or an ``attempts`` that is not an
+    integer.  Lines are split at newlines alone.
     """
     out: dict[str, CaptionOutcome] = {}
     if not os.path.exists(path):
         return out
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             where = f"checkpoint line {lineno}"
-            try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
-                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            rec = read_json(line, where)
             if not isinstance(rec, dict):
                 raise ValueError(f"{where}: record is not a JSON object")
             for key in ("id", "status"):

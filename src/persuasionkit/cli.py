@@ -3,11 +3,13 @@
 Subcommands: validate, score, caption, train, predict, caption-eval.
 Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 remote
 provider failure.  Every run that writes an output also writes a
-``<out>.manifest.json`` sidecar with content hashes of its inputs and
-outputs, the resolved configuration and the toolkit version, so a run can
-be reproduced from the manifest alone.  Outputs and manifests are written
-atomically and durably (temp file, fsync, rename, fsync of the directory);
-the caption checkpoint is appended to, and synced when it is closed.
+``<out>.manifest.json`` sidecar with content hashes of its inputs (of the
+bytes parsed: each is read once) and outputs, the resolved configuration
+and the toolkit version, so a run can be reproduced from the manifest
+alone.  An input that cannot be parsed is named as ``--FLAG PATH``.
+Outputs and manifests are written atomically and durably (temp file,
+fsync, rename, fsync of the directory); the caption checkpoint is
+appended to, and synced when it is closed.
 
 Option precedence: command-line flags, then a ``--config`` JSON file,
 then ``PERSUASIONKIT_*`` environment variables, then built-in defaults.
@@ -47,14 +49,14 @@ from .captioner import (
     checkpoint_to_captions,
 )
 from .corpus import (
-    CorpusError,
     load_binary_predictions,
     load_corpus,
     load_predictions,
+    read_json,
     write_captions,
     write_predictions,
 )
-from .hierarchy import HierarchyError, parse_hierarchy
+from .hierarchy import parse_hierarchy
 from .metrics import (
     binary_from_totals,
     binary_tallies,
@@ -82,38 +84,49 @@ _LAYERED = {
 }
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+class _Inputs:
+    """The input files of one command, each opened once by ``read``.
+    ``hashes`` maps each path read to the sha256 of the bytes parsed."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.hashes: dict[str, str] = {}
+
+    def read(self, dest: str, parse):
+        """``parse`` of the bytes of the file option ``dest`` names.  A
+        ValueError it raises is raised again with ``--flag path: `` in front."""
+        path = getattr(self.args, dest)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.hashes[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+        try:
+            return parse(data)
+        except ValueError as exc:
+            raise ValueError(f"--{dest.replace('_', '-')} {path}: {exc}") from None
 
 
-def _read_lines(path: str) -> list[str]:
-    """The file's lines, split at newlines alone: a form feed or U+2028
-    inside a line stays in it.  A final newline ends the last line."""
-    lines = _read_text(path).split("\n")
+def _hierarchy(data: bytes):
+    return parse_hierarchy(data.decode("utf-8"))
+
+
+def _lines(data: bytes) -> list[str]:
+    """The lines of UTF-8 ``data``, split at newlines alone: a form feed or
+    U+2028 inside a line stays in it.  A final newline ends the last line."""
+    lines = data.decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
-
-
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _sha256(path: str) -> str:
-    return "sha256:" + hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: str, data: str | bytes):
+def _write(path: str, data: str | bytes) -> bytes:
     """Write ``data`` whole or not at all: a temp file in the output's
     directory, synced to disk, then ``os.replace`` over ``path`` and the
     directory synced, so the rename outlives a power loss too.  Text is
-    UTF-8."""
+    UTF-8.  Returns the bytes written."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     head, tail = os.path.split(path)
@@ -133,34 +146,42 @@ def _write(path: str, data: str | bytes):
         os.fsync(fd)
     finally:
         os.close(fd)
+    return data
 
 
-def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]):
+def _write_manifest(out_path: str, output: bytes, command: str, config: dict, inputs: _Inputs):
+    """Write the manifest of ``output``, the bytes at ``out_path``."""
     manifest = {
         "tool": "persuasionkit",
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {out_path: _sha256(out_path)},
+        "inputs": inputs.hashes,
+        "outputs": {out_path: "sha256:" + hashlib.sha256(output).hexdigest()},
     }
     _write(out_path + ".manifest.json", _json(manifest))
 
 
-def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: list[str]):
+def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: _Inputs):
     """Write one output, then its manifest."""
-    _write(out_path, data)
-    _write_manifest(out_path, command, config, inputs)
+    _write_manifest(out_path, _write(out_path, data), command, config, inputs)
 
 
-def _read_config(path: str) -> dict:
-    try:
-        config = json.loads(_read_text(path))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or nested too deeply
-        raise ValueError(f"--config {path}: {exc}") from None
+def _config(data: bytes) -> dict:
+    config = read_json(data, "config")
     if not isinstance(config, dict):
-        raise ValueError(f"--config {path} must contain a JSON object")
+        raise ValueError("config: must contain a JSON object")
     return config
+
+
+def _labeled(corpus: list) -> list:
+    """``corpus``, refused unless it holds instances, each with gold labels."""
+    if not corpus:
+        raise ValueError("corpus: no records to learn from")
+    for idx, inst in enumerate(corpus):
+        if inst.gold is None:
+            raise ValueError(f"corpus: record {idx} ({inst.id}): no 'labels' to learn from")
+    return corpus
 
 
 def _resolve(args: argparse.Namespace, config: dict):
@@ -211,45 +232,35 @@ def _print_table(rows: list[tuple[str, float]], out=None):
 
 # -- validate ----------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, inputs: _Inputs) -> int:
+    """Check each given file on its own: one that cannot be decoded or
+    parsed gets its own ``ERROR:`` line, and the others are still checked."""
     diagnostics: list[str] = []
-    violations = 0
-
-    def flag(msg: str):
-        nonlocal violations
-        violations += 1
-        diagnostics.append("ERROR: " + msg)
-
+    loaded: dict = {}
     h = None
-    try:
-        h = parse_hierarchy(_read_text(args.hierarchy))
-        diagnostics.append(
-            f"hierarchy: ok ({len(h.nodes) - 1} labels, {len(h.leaves())} leaves)"
-        )
-    except HierarchyError as exc:
-        flag(f"hierarchy: {exc}")
-
-    loaded = {}
     for name, load, describe in (
-        ("corpus", load_corpus,
+        ("hierarchy", _hierarchy,
+         lambda hier: f"{len(hier.nodes) - 1} labels, {len(hier.leaves())} leaves"),
+        ("corpus", lambda data: load_corpus(data, hierarchy=h),
          lambda c: f"{len(c)} instances, {sum(i.gold is not None for i in c)} labeled"),
-        ("gold", load_predictions, lambda m: f"{len(m)} instances"),
-        ("pred", load_predictions, lambda m: f"{len(m)} instances"),
+        ("gold", lambda data: load_predictions(data, hierarchy=h),
+         lambda m: f"{len(m)} instances"),
+        ("pred", lambda data: load_predictions(data, hierarchy=h),
+         lambda m: f"{len(m)} instances"),
     ):
-        path = getattr(args, name)
-        if not path:
-            continue
-        try:
-            loaded[name] = load(_read_text(path), hierarchy=h)
-            diagnostics.append(f"{name}: ok ({describe(loaded[name])})")
-        except CorpusError as exc:
-            flag(f"{name}: {exc}")
+        if getattr(args, name):
+            try:
+                loaded[name] = inputs.read(name, load)
+                diagnostics.append(f"{name}: ok ({describe(loaded[name])})")
+            except ValueError as exc:
+                diagnostics.append(f"ERROR: {name}: {exc}")
+        h = loaded.get("hierarchy")
 
     gold, pred = loaded.get("gold"), loaded.get("pred")
     if gold is not None and pred is not None:
         extra = sorted(set(pred) - set(gold))
         if extra:
-            flag(f"pred ids not present in gold: {extra[:10]}")
+            diagnostics.append(f"ERROR: pred ids not present in gold: {extra[:10]}")
         missing = sorted(set(gold) - set(pred))
         if missing:
             # Allowed at scoring time (treated as empty), but worth surfacing.
@@ -260,6 +271,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     for line in diagnostics:
         print(line)
+    violations = sum(line.startswith("ERROR: ") for line in diagnostics)
     if violations:
         print(f"validation failed with {violations} error(s)", file=sys.stderr)
         return 1
@@ -275,12 +287,12 @@ def _bootstrap(args: argparse.Namespace, statistic, tallies) -> dict:
     ))
 
 
-def _score_hier(args: argparse.Namespace) -> dict:
+def _score_hier(args: argparse.Namespace, inputs: _Inputs) -> dict:
     if not args.hierarchy:
         raise ValueError("--hierarchy is required for --task hier")
-    h = parse_hierarchy(_read_text(args.hierarchy))
-    gold = load_predictions(_read_text(args.gold), hierarchy=h)
-    pred = load_predictions(_read_text(args.pred), hierarchy=h)
+    h = inputs.read("hierarchy", _hierarchy)
+    gold, pred = (inputs.read(name, lambda data: load_predictions(data, hierarchy=h))
+                  for name in ("gold", "pred"))
     beta = args.beta if args.beta is not None else 1.0
     score = hierarchical_score(h, gold, pred, beta=beta)
     if score.missing_pred_ids:
@@ -312,21 +324,16 @@ def _score_hier(args: argparse.Namespace) -> dict:
             args, lambda totals: hierarchical_from_totals(totals, beta)[2],
             hierarchical_tallies(h, gold, pred),
         )}
-    rows = [
-        ("H-F%g" % beta if beta != 1.0 else "H-F1", score.hf_beta),
-        ("H-Precision", score.hp),
-        ("H-Recall", score.hr),
-    ]
-    _print_table(rows)
+    _print_table([("H-F%g" % beta if beta != 1.0 else "H-F1", score.hf_beta),
+                  ("H-Precision", score.hp), ("H-Recall", score.hr)])
     return report
 
 
-def _score_binary(args: argparse.Namespace) -> dict:
+def _score_binary(args: argparse.Namespace, inputs: _Inputs) -> dict:
     for flag, value in (("--beta", args.beta), ("--hierarchy", args.hierarchy)):
         if value is not None:
             raise ValueError(f"{flag} applies only to --task hier")
-    gold = load_binary_predictions(_read_text(args.gold))
-    pred = load_binary_predictions(_read_text(args.pred))
+    gold, pred = (inputs.read(name, load_binary_predictions) for name in ("gold", "pred"))
     score = flat_binary_score(gold, pred)
     report = {
         "task": "binary",
@@ -346,11 +353,10 @@ def _score_binary(args: argparse.Namespace) -> dict:
     return report
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    report = (_score_hier if args.task == "hier" else _score_binary)(args)
+def cmd_score(args: argparse.Namespace, inputs: _Inputs) -> int:
+    report = (_score_hier if args.task == "hier" else _score_binary)(args, inputs)
     report["scores_x100"] = {k: 100.0 * v for k, v in report["scores"].items()}
     if args.out:
-        inputs = [args.gold, args.pred] + ([args.hierarchy] if args.hierarchy else [])
         config = {"task": args.task, "beta": args.beta, "bootstrap": args.bootstrap,
                   "seed": args.seed, "confidence": args.confidence}
         _emit(args.out, _json(report), "score", config, inputs)
@@ -359,23 +365,16 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 # -- caption -----------------------------------------------------------------
 
-def cmd_caption(args: argparse.Namespace, transport=None) -> int:
-    corpus = load_corpus(_read_text(args.corpus))
+def cmd_caption(args: argparse.Namespace, inputs: _Inputs, transport=None) -> int:
+    corpus = inputs.read("corpus", load_corpus)
     if transport is None and not args.endpoint:
         raise ValueError("--endpoint is required (or PERSUASIONKIT_ENDPOINT)")
     cfg = ProviderConfig(args.endpoint, args.model_name, args.credential_env)
     if transport is None:
         transport = HttpTransport(cfg)
-    outcomes = caption_corpus(
-        corpus,
-        cfg,
-        transport,
-        checkpoint_path=args.out,
-        concurrency=args.jobs,
-        rate_per_minute=args.rate_limit,
-        force=args.force,
-        seed=args.seed,
-    )
+    outcomes = caption_corpus(corpus, cfg, transport, checkpoint_path=args.out,
+                              concurrency=args.jobs, rate_per_minute=args.rate_limit,
+                              force=args.force, seed=args.seed)
     counts = Counter(o.status for o in outcomes.values())
     for status in sorted(counts):
         print(f"{status}: {counts[status]}")
@@ -390,31 +389,29 @@ def cmd_caption(args: argparse.Namespace, transport=None) -> int:
     }
     if args.captions_out:
         _emit(args.captions_out, write_captions(checkpoint_to_captions(outcomes)),
-              "caption", config, [args.corpus])
+              "caption", config, inputs)
     # The checkpoint is appended to as outcomes arrive; only its manifest
-    # is written here.
-    _write_manifest(args.out, "caption", config, [args.corpus])
+    # is written here, from the bytes on disk.
+    with open(args.out, "rb") as fh:
+        _write_manifest(args.out, fh.read(), "caption", config, inputs)
     if counts[STATUS_TRANSPORT_ERROR]:
-        print(
-            f"{counts[STATUS_TRANSPORT_ERROR]} instance(s) failed on transport",
-            file=sys.stderr,
-        )
+        print(f"{counts[STATUS_TRANSPORT_ERROR]} instance(s) failed on transport",
+              file=sys.stderr)
         return 3
     return 0
 
 
 # -- train / predict ---------------------------------------------------------
 
-def cmd_train(args: argparse.Namespace) -> int:
-    h = parse_hierarchy(_read_text(args.hierarchy))
-    corpus = load_corpus(_read_text(args.corpus), hierarchy=h)
+def cmd_train(args: argparse.Namespace, inputs: _Inputs) -> int:
+    h = inputs.read("hierarchy", _hierarchy)
+    corpus = inputs.read("corpus", lambda data: _labeled(load_corpus(data, hierarchy=h)))
     fcfg = FeatureConfig(dimension=args.dim, mode=args.mode)
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, l2=args.l2)
     model = train(corpus, h, fcfg, tcfg, seed=args.seed)
     if args.tune_dev:
-        dev = load_corpus(_read_text(args.tune_dev), hierarchy=h)
+        dev = inputs.read("tune_dev", lambda data: _labeled(load_corpus(data, hierarchy=h)))
         model = tune_thresholds(model, dev, h)
-    inputs = [args.hierarchy, args.corpus] + ([args.tune_dev] if args.tune_dev else [])
     config = {"mode": args.mode, "dim": args.dim, "epochs": args.epochs, "lr": args.lr,
               "l2": args.l2, "seed": args.seed, "tuned": bool(args.tune_dev)}
     _emit(args.out, save_model(model), "train", config, inputs)
@@ -422,30 +419,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    model = load_model(_read_bytes(args.model))
-    h = parse_hierarchy(_read_text(args.hierarchy))
-    corpus = load_corpus(_read_text(args.corpus), hierarchy=h)
+def cmd_predict(args: argparse.Namespace, inputs: _Inputs) -> int:
+    model = inputs.read("model", load_model)
+    h = inputs.read("hierarchy", _hierarchy)
+    corpus = inputs.read("corpus", lambda data: load_corpus(data, hierarchy=h))
     preds = predict_corpus(model, h, corpus)
     # A text+caption model scores a caption-less instance on its text alone.
     degraded = 0
     if model.feature_config.mode == MODE_TEXT_CAPTION:
         degraded = sum(inst.caption is None for inst in corpus)
     if degraded:
-        logger.warning(
-            "%d instance(s) lacked a caption; scored on text features only", degraded
-        )
+        logger.warning("%d instance(s) lacked a caption; scored on text features only", degraded)
     config = {"mode": model.feature_config.mode, "degraded_to_text_only": degraded}
-    _emit(args.out, write_predictions(preds), "predict", config,
-          [args.model, args.hierarchy, args.corpus])
+    _emit(args.out, write_predictions(preds), "predict", config, inputs)
     print(f"predicted {len(preds)} instances -> {args.out}")
     return 0
 
 
 # -- caption-eval ------------------------------------------------------------
 
-def cmd_caption_eval(args: argparse.Namespace) -> int:
-    cands, refs = _read_lines(args.candidates), _read_lines(args.references)
+def cmd_caption_eval(args: argparse.Namespace, inputs: _Inputs) -> int:
+    cands, refs = inputs.read("candidates", _lines), inputs.read("references", _lines)
     report_obj = score_caption_pairs(cands, refs)
     report = {
         "n_pairs": report_obj.n_pairs,
@@ -465,8 +459,7 @@ def cmd_caption_eval(args: argparse.Namespace) -> int:
         ]
     )
     if args.out:
-        _emit(args.out, _json(report), "caption-eval", {},
-              [args.candidates, args.references])
+        _emit(args.out, _json(report), "caption-eval", {}, inputs)
     return 0
 
 
@@ -561,18 +554,18 @@ def main(argv: list[str] | None = None, transport=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _read_config(args.config) if args.config else {}
+        config = _Inputs(args).read("config", _config) if args.config else {}
         _resolve(args, config)
         # caption alone takes the injectable transport (tests, benchmarks).
         extra = {"transport": transport} if args.command == "caption" else {}
-        return COMMANDS[args.command](args, **extra)
+        return COMMANDS[args.command](args, _Inputs(args), **extra)
     except TransportError as exc:
         print(f"remote error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, HierarchyError, ValueError) as exc:
+    except ValueError as exc:  # CorpusError and HierarchyError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,16 +61,24 @@ class MemeInstance:
     lang: str | None = None
 
 
-def _records(text: str, what: str) -> Iterator[tuple[int, str, dict]]:
+def read_json(data: str | bytes, what: str):
+    """The JSON value in ``data``, bytes decoded strictly as UTF-8: the one
+    reader of every JSON input.  Bad UTF-8, a ``json.JSONDecodeError`` (or
+    an integer too long to convert) and nesting too deep (``RecursionError``)
+    raise one CorpusError, ``"{what}: invalid JSON: ..."``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # ValueError: UnicodeDecodeError too
+        raise CorpusError(f"{what}: invalid JSON: {exc}") from None
+
+
+def _records(data: str | bytes, what: str) -> Iterator[tuple[int, str, dict]]:
     """Yield ``(index, id, record)`` for each record of a JSON array file.
 
     Raises CorpusError unless the file is an array of objects, each with a
     nonempty string ``id`` not seen before.
     """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
-        raise CorpusError(f"{what}: invalid JSON: {exc}") from None
+    doc = read_json(data, what)
     if not isinstance(doc, list):
         raise CorpusError(f"{what}: expected a top-level array of records")
     seen: set[str] = set()
@@ -130,7 +138,7 @@ def read_number(value, what: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def load_corpus(text: str, hierarchy: LabelHierarchy | None = None) -> list[MemeInstance]:
+def load_corpus(data: str | bytes, hierarchy: LabelHierarchy | None = None) -> list[MemeInstance]:
     """Parse a dataset file into instances.
 
     When a hierarchy is supplied, gold label sets are validated against it
@@ -139,7 +147,7 @@ def load_corpus(text: str, hierarchy: LabelHierarchy | None = None) -> list[Meme
     """
     what = "corpus"
     out: list[MemeInstance] = []
-    for idx, iid, rec in _records(text, what):
+    for idx, iid, rec in _records(data, what):
         text_field = rec.get("text", "")
         if not isinstance(text_field, str):
             raise CorpusError(f"{what}: record {idx} ({iid}): 'text' must be a string")
@@ -243,7 +251,7 @@ def merge_captions(
 
 
 def load_predictions(
-    text: str, hierarchy: LabelHierarchy | None = None
+    data: str | bytes, hierarchy: LabelHierarchy | None = None
 ) -> dict[str, frozenset[str]]:
     """Parse {id, labels} records into id -> label set.
 
@@ -254,7 +262,7 @@ def load_predictions(
     """
     what = "predictions"
     out: dict[str, frozenset[str]] = {}
-    for idx, iid, rec in _records(text, what):
+    for idx, iid, rec in _records(data, what):
         labels = _label_list(rec, "labels", idx, what)
         if labels is None:
             raise CorpusError(f"{what}: record {idx} ({iid}): missing 'labels'")
@@ -275,11 +283,11 @@ def write_predictions(predictions: Mapping[str, Iterable[str]]) -> str:
     return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
 
 
-def load_binary_predictions(text: str) -> dict[str, bool]:
+def load_binary_predictions(data: str | bytes) -> dict[str, bool]:
     """Parse {id, label} records; label is propagandistic/not_propagandistic."""
     what = "binary predictions"
     out: dict[str, bool] = {}
-    for idx, iid, rec in _records(text, what):
+    for idx, iid, rec in _records(data, what):
         label = rec.get("label")
         if label == BINARY_POSITIVE:
             out[iid] = True
@@ -301,11 +309,11 @@ def write_binary_predictions(predictions: Mapping[str, bool]) -> str:
     return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
 
 
-def load_captions(text: str) -> dict[str, tuple[str, str]]:
+def load_captions(data: str | bytes) -> dict[str, tuple[str, str]]:
     """Parse {id, caption, source} records into id -> (caption, source)."""
     what = "captions"
     out: dict[str, tuple[str, str]] = {}
-    for idx, iid, rec in _records(text, what):
+    for idx, iid, rec in _records(data, what):
         cap = rec.get("caption")
         source = rec.get("source")
         if not isinstance(cap, str):

@@ -838,7 +838,7 @@ def test_save_load_round_trip_exact():
 def test_load_rejects_foreign_files():
     with pytest.raises(ValueError, match="not a model file"):
         load_model(b"{\"kind\":\"something-else\"}")
-    with pytest.raises(ValueError, match="not a model file"):
+    with pytest.raises(ValueError, match="model file: invalid JSON"):
         load_model(b"\xff\xfe not json")
     with pytest.raises(ValueError, match="not a model file"):
         load_model(b"[1, 2]")

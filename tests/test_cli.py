@@ -330,7 +330,7 @@ def test_predict_incomplete_model_file_is_validation_error(tmp_path, capsys):
                "--corpus", corpus, "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: model file is missing labels, feature_config")
+    assert err.startswith(f"error: --model {model}: model file is missing labels, feature_config")
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -369,7 +369,7 @@ def test_predict_refuses_a_model_number_out_of_range(tmp_path, capsys, saved_mod
                "--corpus", corpus, "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: model file: ") and named in err, err
+    assert err.startswith(f"error: --model {model}: model file: ") and named in err, err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -446,7 +446,8 @@ def test_predict_refuses_a_model_it_cannot_score(tmp_path, capsys, saved_model, 
                "--corpus", corpus, "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {problem}"), err
+    named = "" if orders is None else f"--model {model}: "  # a bad file, or a mismatch
+    assert err.startswith(f"error: {named}{problem}"), err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -468,7 +469,7 @@ def test_predict_huge_model_dimension_is_validation_error(tmp_path, capsys):
                "--corpus", corpus, "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: feature dimension {HUGE_DIM} is too large")
+    assert err.startswith(f"error: --model {huge}: feature dimension {HUGE_DIM} is too large")
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -564,10 +565,14 @@ def test_train_memory_does_not_grow_with_dimension(tmp_path):
 
 # Descends on two threads whatever the machine, and announces on stdout
 # once both have taken a gradient step; then runs the CLI.
+# Each child script below installs Python's own SIGINT handler first: a
+# child of a pytest run in the background inherits SIGINT ignored, and
+# would then descend on after the signal.
 _DESCENT_SCRIPT = """
-import sys, threading
+import signal, sys, threading
 from persuasionkit import baseline
 from persuasionkit.cli import main
+signal.signal(signal.SIGINT, signal.default_int_handler)
 gradient, threads, lock = baseline._gradient, set(), threading.Lock()
 def announce(*args):
     with lock:
@@ -617,7 +622,9 @@ def test_interrupted_train_stops_promptly_and_writes_nothing(tmp_path):
 # alive on stderr once main returns or raises.  A head sets up when to
 # print "stepped" on stdout.
 _RUN_CLI = """
+import signal
 from persuasionkit import baseline, cli
+signal.signal(signal.SIGINT, signal.default_int_handler)
 main = cli.main
 def checked(argv=None):
     try:
@@ -1214,7 +1221,7 @@ def test_unreadable_config_is_named(tmp_path, capsys, data, problem):
     rc = main(["--config", str(cfg), "validate", "--hierarchy", WORKED_H])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --config {cfg}: {problem}"), err
+    assert err.startswith(f"error: --config {cfg}: config: invalid JSON: {problem}"), err
     assert err.count("\n") == 1
 
 
@@ -1228,11 +1235,11 @@ def test_deeply_nested_json_is_an_error_not_a_traceback(tmp_path, capsys, reader
     corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
     argv, problem = {
         "config": (["--config", deep, "validate", "--hierarchy", WORKED_H],
-                   f"--config {deep}: "),
+                   f"--config {deep}: config: invalid JSON: "),
         "corpus": (["train", "--hierarchy", WORKED_H, "--corpus", deep, "--out", out],
-                   "corpus: invalid JSON: "),
+                   f"--corpus {deep}: corpus: invalid JSON: "),
         "model": (["predict", "--model", deep, "--hierarchy", WORKED_H, "--corpus", corpus,
-                   "--out", out], "not a model file: "),
+                   "--out", out], f"--model {deep}: model file: invalid JSON: "),
         "checkpoint": (["caption", "--corpus", corpus, "--out", deep],
                        "checkpoint line 1: invalid JSON: "),
     }[reader]

@@ -12,13 +12,14 @@ import threading
 
 import pytest
 
-from persuasionkit import baseline, captioner
+from persuasionkit import baseline, captioner, cli
 from persuasionkit.baseline import FeatureConfig, TrainConfig, predict_corpus, train
 from persuasionkit.captioner import ProviderConfig, _Clock, caption_corpus
 from persuasionkit.corpus import MemeInstance, load_corpus
-from persuasionkit.hierarchy import parse_hierarchy
+from persuasionkit.hierarchy import LabelHierarchy, parse_hierarchy
 
-from mocks import PerInstanceTransport, ok_response, refusal_response
+from cli_inputs import command_line, write_inputs
+from mocks import PerInstanceTransport, ScriptedTransport, ok_response, refusal_response
 
 SYNTHETIC = os.path.join(os.path.dirname(__file__), "..", "data", "synthetic")
 
@@ -69,3 +70,30 @@ def test_caption_corpus_calls_each_traced_name_once_per_item(monkeypatch, jobs):
                          concurrency=jobs, clock=_Clock(lambda: 0.0, lambda s: None))
     assert len(out) == len(instances) == len(memes)
     assert len(transport.requests) == len(requests) == len(memes) + 2
+
+
+# The loaders perfbench/tracer.py wraps where the commands look them up.
+_TRACED_LOADERS = [(cli, "parse_hierarchy"), (cli, "load_corpus"), (cli, "load_predictions"),
+                   (cli, "load_binary_predictions"), (cli, "load_model"),
+                   (captioner, "load_checkpoint"), (LabelHierarchy, "extend")]
+
+
+@pytest.mark.parametrize("command,calls,labeled", [
+    ("validate", {"parse_hierarchy": 1, "load_corpus": 1, "load_predictions": 2}, 4 + 3 + 3),
+    ("score-hier", {"parse_hierarchy": 1, "load_predictions": 2}, 3 + 3),
+    ("score-binary", {"load_binary_predictions": 2}, 0),
+    ("train", {"parse_hierarchy": 1, "load_corpus": 2}, 4 + 3),
+    ("predict", {"load_model": 1, "parse_hierarchy": 1, "load_corpus": 1}, 4),
+    ("caption", {"load_corpus": 1, "load_checkpoint": 1}, 0),
+])
+def test_each_command_calls_the_traced_loaders_by_their_module_names(
+        monkeypatch, tmp_path, command, calls, labeled):
+    # A loader bound before the command runs (as a default argument, say)
+    # would escape the tracer's wrapper, and these counts would read 0.
+    counts = {name: _counted(monkeypatch, module, name) for module, name in _TRACED_LOADERS}
+    paths = write_inputs(str(tmp_path))
+    assert cli.main(command_line(command, paths), transport=ScriptedTransport()) == 0
+    extend = counts.pop("extend")
+    assert {name: len(c) for name, c in counts.items() if c} == calls
+    # extend closes each labeled record the loaders read with a hierarchy.
+    assert len(extend) >= labeled
