@@ -6,8 +6,10 @@ initialization and an L2 penalty, so a (corpus, hierarchy, config, seed)
 tuple maps to bit-identical model files.  Per-label decision thresholds
 start at 0.5 and can be tuned by coordinate ascent on dev HF1.
 
-scipy is imported inside the functions that fit, so the commands that
-never train do not pay for loading it; scoring runs on plain arrays.
+numpy is imported inside the functions that compute with arrays, and
+scipy inside the functions that fit, so a command pays for loading each
+only when it uses it: the commands that never train do not load scipy,
+and scoring runs on plain arrays.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import MemeInstance, read_int, read_json, read_number
 from .hierarchy import LabelHierarchy
 from .metrics import hierarchical_from_totals
 from .metrics import hierarchical_score  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .textmetrics import tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy import sparse
 
 __all__ = [
     "MODE_TEXT",
@@ -225,6 +230,8 @@ class HierModel:
     def weights(self) -> np.ndarray:
         """The dense ``(dimension, n_labels)`` weight matrix, built anew on
         each access; raises ValueError when it cannot be allocated."""
+        import numpy as np
+
         dimension, n_labels = self.feature_config.dimension, len(self.labels)
         try:
             W = np.zeros((dimension, n_labels), dtype=np.float64)
@@ -256,6 +263,7 @@ def _gradient(
     ``X``'s arrays; each column of ``X.T @ E``, and of the bias gradient,
     adds its terms in ascending instance order at any number of heads.
     """
+    import numpy as np
     from scipy.special import expit
 
     E = (X if forward is None else forward) @ W
@@ -281,6 +289,8 @@ def loss_and_grad(
     descends for a single head, bit for bit, so checking it numerically
     checks the trainer's own code.
     """
+    import numpy as np
+
     z = X @ w + b
     # log-loss via logaddexp for stability: log(1 + e^-z) etc.
     loss = float(
@@ -291,7 +301,7 @@ def loss_and_grad(
 
 
 def _renumber(
-    indices: np.ndarray, dimension: int, rows: np.ndarray | None = None, dtype=np.int64
+    indices: np.ndarray, dimension: int, rows: np.ndarray | None = None, dtype="int64"
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, positions)``: the ascending bucket indices ``rows``, by
     default every bucket in ``indices``, and each of ``indices``' position
@@ -304,6 +314,8 @@ def _renumber(
     time, so no temporary grows with ``dimension``.  ``indices`` need not
     be sorted.
     """
+    import numpy as np
+
     if dimension <= max(indices.size, _MAP_ENTRIES):
         where = np.full(dimension, -1, dtype=dtype)
         if rows is None:
@@ -344,6 +356,8 @@ def _design(
     changes it: the product with the rows' weights is equal bit for bit
     to ``X @ W``.
     """
+    import numpy as np
+
     # Flat typed buffers rather than one Python object per non-zero.
     cols, vals, ends = array("q"), array("d"), array("q", [0])
     for inst in instances:
@@ -383,6 +397,8 @@ def _product(
     at +0.0 and adds its terms one after another in stored order, as
     scipy's loop does, with no BLAS call.
     """
+    import numpy as np
+
     lengths = np.diff(indptr)
     order = np.argsort(-lengths, kind="stable")
     longest = lengths[order]
@@ -440,6 +456,8 @@ def _descend(
     ``W[:, heads]`` and ``B[heads]``, with ``Xc`` the CSC copy of ``Xu``
     for the forward product; returns early, writing nothing, once
     ``stop`` is set."""
+    import numpy as np
+
     Yg = Y[:, heads]
     Wg = np.zeros((Xu.shape[1], heads.size), dtype=np.float64)
     Bg = np.zeros(heads.size, dtype=np.float64)
@@ -504,6 +522,7 @@ def train(
     In the main thread, Ctrl-C only sets that stop, and ``train`` raises
     KeyboardInterrupt once every group has stopped.
     """
+    import numpy as np
     from scipy import sparse
 
     fcfg = feature_config or FeatureConfig()
@@ -581,6 +600,8 @@ def _score_matrix(model: HierModel, corpus: Sequence[MemeInstance]) -> np.ndarra
     weight rows alone, which :func:`_design` shows is equal bit for bit,
     over blocks of at most ``_SCORE_BLOCK`` instances.
     """
+    import numpy as np
+
     S = np.empty((len(corpus), len(model.labels)), dtype=np.float64)
     for start in range(0, len(corpus), _SCORE_BLOCK):
         block = corpus[start : start + _SCORE_BLOCK]
@@ -596,6 +617,8 @@ def _score_matrix(model: HierModel, corpus: Sequence[MemeInstance]) -> np.ndarra
 def _predicted_sets(
     model: HierModel, h: LabelHierarchy, corpus: Sequence[MemeInstance]
 ) -> list[frozenset[str]]:
+    import numpy as np
+
     closed = (_score_matrix(model, corpus) > model.thresholds) @ h.closure
     labels = np.array(h.labels, dtype=object)
     return [frozenset(labels[row]) for row in closed]
@@ -645,6 +668,8 @@ def tune_thresholds(
     ``_MAX_PASSES`` full passes, stopping early at a fixed point.  Dev HF1
     never decreases, and rerunning on the result is a no-op.
     """
+    import numpy as np
+
     _check_hierarchy(model, h)
     G = _gold_rows(dev_corpus, h, "dev")
     S = _score_matrix(model, dev_corpus)
@@ -680,6 +705,8 @@ def tune_thresholds(
 
 def save_model(model: HierModel) -> bytes:
     """Canonical JSON bytes; float values round-trip exactly."""
+    import numpy as np
+
     nz = np.flatnonzero(np.any(model.row_weights != 0.0, axis=1))
     payload = {
         "kind": _MODEL_KIND,
@@ -720,6 +747,8 @@ def load_model(data: bytes) -> HierModel:
     whose weights or bias are not finite or whose thresholds are not in
     (0, 1).  The rows may come in any order.
     """
+    import numpy as np
+
     payload = read_json(data, "model file")
     if not isinstance(payload, dict) or payload.get("kind") != _MODEL_KIND:
         raise ValueError("not a model file (bad kind marker)")

@@ -405,12 +405,17 @@ def cmd_caption(args: argparse.Namespace, inputs: _Inputs, transport=None) -> in
 
 def cmd_train(args: argparse.Namespace, inputs: _Inputs) -> int:
     h = inputs.read("hierarchy", _hierarchy)
-    corpus = inputs.read("corpus", lambda data: _labeled(load_corpus(data, hierarchy=h)))
+
+    def labeled(data: bytes) -> list:
+        return _labeled(load_corpus(data, hierarchy=h))
+
+    corpus = inputs.read("corpus", labeled)
+    # Read before descent, so a bad dev file fails at once.
+    dev = inputs.read("tune_dev", labeled) if args.tune_dev else None
     fcfg = FeatureConfig(dimension=args.dim, mode=args.mode)
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, l2=args.l2)
     model = train(corpus, h, fcfg, tcfg, seed=args.seed)
-    if args.tune_dev:
-        dev = inputs.read("tune_dev", lambda data: _labeled(load_corpus(data, hierarchy=h)))
+    if dev is not None:
         model = tune_thresholds(model, dev, h)
     config = {"mode": args.mode, "dim": args.dim, "epochs": args.epochs, "lr": args.lr,
               "l2": args.l2, "seed": args.seed, "tuned": bool(args.tune_dev)}

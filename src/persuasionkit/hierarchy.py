@@ -8,7 +8,9 @@ never earns credit during scoring.
 
 Non-root labels have a fixed order, ``LabelHierarchy.labels`` (sorted by
 name).  Over that order the hierarchy keeps an ``L x L`` closure matrix,
-so closing many label sets is one boolean matrix product.
+built on first use, so closing many label sets is one boolean matrix
+product.  numpy is imported inside the functions that build arrays, so
+parsing a hierarchy and extending label sets do not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HierarchyError",
@@ -41,7 +46,7 @@ class LabelHierarchy:
 
     ``labels`` is the sorted tuple of non-root labels.  ``closure[j, k]`` is
     True iff ``labels[k]`` is ``labels[j]`` or one of its ancestors, so row
-    ``j`` is the closed set of ``labels[j]``.
+    ``j`` is the closed set of ``labels[j]``; it is built on first use.
 
     Build instances through :func:`parse_hierarchy` or
     :meth:`LabelHierarchy.from_edges`; both validate the structure.
@@ -52,7 +57,6 @@ class LabelHierarchy:
     edges: frozenset[tuple[str, str]]  # (child, parent)
     _ancestors: dict[str, frozenset[str]] = field(compare=False, repr=False)
     labels: tuple[str, ...] = field(compare=False, repr=False)
-    closure: np.ndarray = field(compare=False, repr=False)  # (L, L) bool, read-only
     _index: dict[str, int] = field(compare=False, repr=False)
 
     @classmethod
@@ -113,21 +117,25 @@ class LabelHierarchy:
             raise HierarchyError(f"cycle detected involving {stuck[0]!r}")
 
         labels = tuple(sorted(nodes - {root}))
-        index = {label: j for j, label in enumerate(labels)}
-        closure = np.eye(len(labels), dtype=bool)
-        for j, label in enumerate(labels):
-            closure[j, [index[a] for a in ancestors[label]]] = True
-        closure.setflags(write=False)
-
         return cls(
             root=root,
             nodes=frozenset(nodes),
             edges=frozenset(edge_list),
             _ancestors=ancestors,
             labels=labels,
-            closure=closure,
-            _index=index,
+            _index={label: j for j, label in enumerate(labels)},
         )
+
+    @cached_property
+    def closure(self) -> np.ndarray:
+        """The read-only ``(L, L)`` boolean closure matrix over ``labels``."""
+        import numpy as np
+
+        closure = np.eye(len(self.labels), dtype=bool)
+        for j, label in enumerate(self.labels):
+            closure[j, [self._index[a] for a in self._ancestors[label]]] = True
+        closure.setflags(write=False)
+        return closure
 
     # -- queries ---------------------------------------------------------
 
@@ -160,6 +168,8 @@ class LabelHierarchy:
         raises what :meth:`extend` raises: HierarchyError for the root,
         UnknownLabelError for a label outside the hierarchy.
         """
+        import numpy as np
+
         rows: list[int] = []
         cols: list[int] = []
         n = 0

@@ -9,6 +9,7 @@ enters a label set, so it earns no credit.
 Every score is a function of integer totals: per-instance tally rows
 (``hierarchical_tallies``, ``binary_tallies``) summed over the corpus.
 The bootstrap resamples those rows, so a resample costs one weighted sum.
+numpy is imported inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hierarchy import HierarchyError, LabelHierarchy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HierarchicalScore",
@@ -159,6 +162,8 @@ def hierarchical_tallies(
     order.  Ids missing from ``pred`` count as empty predictions; the
     validation and errors are those of :func:`hierarchical_score`.
     """
+    import numpy as np
+
     G, P = _closed_rows(h, gold, pred)
     tallies = np.stack([(G & P).sum(axis=1), P.sum(axis=1), G.sum(axis=1)], axis=1)
     ids = list(gold)
@@ -248,6 +253,8 @@ def binary_tallies(gold: Mapping[str, bool], pred: Mapping[str, bool]) -> np.nda
 
     Gold and pred must cover the same nonempty id set.
     """
+    import numpy as np
+
     if not gold:
         raise ValueError("empty corpus: no gold instances")
     if set(gold) != set(pred):
@@ -325,6 +332,8 @@ def bootstrap_ci(
     order-independent.  The interval is widened, if needed, to contain
     the point estimate.
     """
+    import numpy as np
+
     tallies = np.asarray(tallies)
     n = len(tallies)
     if n < 2:

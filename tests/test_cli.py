@@ -660,12 +660,14 @@ import runpy, sys, threading, time
 from persuasionkit import baseline
 start, started, gradient = threading.Thread.start, [], baseline._gradient
 def slow_start(self):
-    start(self)
-    if self.name.startswith("descent"):
+    # Listed before it runs, so its first gradient finds it in started.
+    descent = self.name.startswith("descent")
+    if descent:
         started.append(self)
-        if len(started) == 2:
-            print("stepped", flush=True)
-            time.sleep(1.0)
+    start(self)
+    if descent and len(started) == 2:
+        print("stepped", flush=True)
+        time.sleep(1.0)
 def slow_gradient(*args):
     if threading.current_thread() is started[-1]:
         time.sleep(1.0)
@@ -1127,45 +1129,75 @@ def test_caption_eval_report_equals_reference_kernels(tmp_path, capsys, monkeypa
     assert Path(fast).read_bytes() == Path(slow).read_bytes()
 
 
-def test_commands_that_do_not_train_never_load_scipy(tmp_path):
-    # Only train needs scipy, and only a caption run against a real
-    # endpoint needs requests (and urllib3 under it); every other command
-    # must run without importing them.
-    gold = os.path.join(SYNTHETIC, "heldout.json")
-    pred = write(tmp_path / "pred.json", json.dumps(
-        [{"id": r["id"], "labels": r["labels"][:1]} for r in read_json(gold)]))
-    model = str(tmp_path / "model.json")
+# The libraries each command may load, by the top-level package name in
+# sys.modules: numpy only where arrays are computed, scipy only in train,
+# and requests (with urllib3 under it) only for a caption run against a
+# real endpoint, which these runs replace by a scripted transport.
+_HEAVY = ("numpy", "scipy", "requests", "urllib3")
+_LOADS = {
+    "validate": [], "caption": [], "caption-eval": [], "version": [],
+    "score-hier": ["numpy"], "score-binary": ["numpy"], "predict": ["numpy"],
+    "train": ["numpy", "scipy"],
+}
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    model = str(tmp_path_factory.mktemp("model") / "model.json")
     assert main(["train", "--hierarchy", SYNTHETIC_H, "--corpus",
                  os.path.join(SYNTHETIC, "train.json"), "--dim", "1024",
                  "--epochs", "5", "--out", model]) == 0
-    commands = [
-        ["validate", "--hierarchy", WORKED_H, "--gold", WORKED_GOLD, "--pred", WORKED_PRED],
-        ["score", "--task", "hier", "--hierarchy", SYNTHETIC_H, "--gold", gold,
-         "--pred", pred, "--bootstrap", "5", "--seed", "0",
-         "--out", str(tmp_path / "hier.json")],
-        ["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED,
-         "--out", str(tmp_path / "binary.json")],
-        ["caption-eval", "--candidates", PROMPT_PRIMARY, "--references", PROMPT_FALLBACK,
-         "--out", str(tmp_path / "eval.json")],
-        ["predict", "--model", model, "--hierarchy", SYNTHETIC_H, "--corpus", gold,
-         "--out", str(tmp_path / "predicted.json")],
-    ]
+    return model
+
+
+@pytest.mark.parametrize("command", list(_LOADS))
+def test_each_command_imports_only_the_libraries_it_uses(tmp_path, command, trained_model):
+    gold = os.path.join(SYNTHETIC, "heldout.json")
+    pred = write(tmp_path / "pred.json", json.dumps(
+        [{"id": r["id"], "labels": r["labels"][:1]} for r in read_json(gold)]))
+    memes = write(tmp_path / "memes.json", json.dumps(CAPTION_CORPUS))
+    out = str(tmp_path / "out.json")
+    argv = {
+        "validate": ["validate", "--hierarchy", SYNTHETIC_H,
+                     "--corpus", os.path.join(SYNTHETIC, "train.json"),
+                     "--gold", gold, "--pred", pred],
+        "score-hier": ["score", "--task", "hier", "--hierarchy", SYNTHETIC_H, "--gold", gold,
+                       "--pred", pred, "--bootstrap", "5", "--seed", "0", "--out", out],
+        "score-binary": ["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED,
+                         "--bootstrap", "5", "--out", out],
+        "caption": ["caption", "--corpus", memes, "--out", str(tmp_path / "ck.jsonl"),
+                    "--captions-out", out],
+        "caption-eval": ["caption-eval", "--candidates", PROMPT_PRIMARY,
+                         "--references", PROMPT_FALLBACK, "--out", out],
+        "version": ["--version"],
+        "train": ["train", "--hierarchy", SYNTHETIC_H, "--corpus",
+                  os.path.join(SYNTHETIC, "train.json"), "--tune-dev", gold,
+                  "--dim", "1024", "--epochs", "5", "--out", out],
+        "predict": ["predict", "--model", trained_model, "--hierarchy", SYNTHETIC_H,
+                    "--corpus", gold, "--out", out],
+    }[command]
     script = (
         "import json, sys\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "from mocks import ScriptedTransport\n"
         "from persuasionkit.cli import main\n"
-        "rcs = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "heavy = ('scipy', 'requests', 'urllib3')\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in heavy)\n"
-        "print(json.dumps({'rcs': rcs, 'loaded': loaded}))\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "try:\n"
+        "    rc = main(argv, transport=ScriptedTransport())\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        f"heavy = {_HEAVY!r}\n"
+        "loaded = sorted({m.split('.')[0] for m in sys.modules} & set(heavy))\n"
+        "print(json.dumps({'rc': rc, 'loaded': loaded}))\n"
     )
     src = os.path.join(HERE, "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv), HERE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"rcs": [0] * len(commands), "loaded": []}
+    assert result == {"rc": 0, "loaded": _LOADS[command]}
 
 
 def test_bootstrap_never_loads_numpy_ma(tmp_path):

@@ -211,6 +211,17 @@ def test_train_names_a_corpus_it_cannot_learn_from(tmp_path, key, records, probl
     _assert_refused_by_name(rc, err, named, listing, tmp_path)
 
 
+@pytest.mark.parametrize("broken", list(_BROKEN))
+def test_a_bad_tune_dev_is_refused_before_descent(tmp_path, monkeypatch, broken):
+    paths = write_inputs(str(tmp_path), {"dev": _BROKEN[broken](input_bytes()["dev"])})
+    listing = sorted(os.listdir(tmp_path))
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(args))
+    rc, err = _run(command_line("train", paths))
+    _assert_refused_by_name(rc, err, f"error: --tune-dev {paths['dev']}: ", listing, tmp_path)
+    assert trained == []
+
+
 def test_validate_names_each_unreadable_file_and_checks_the_rest(tmp_path, capsys):
     paths = write_inputs(str(tmp_path), {
         "hierarchy": b"persuasion\n\xff\tpersuasion\n",
