@@ -49,6 +49,7 @@ __all__ = [
     "train",
     "predict",
     "predict_corpus",
+    "check_hierarchy",
     "tune_thresholds",
     "loss_and_grad",
     "save_model",
@@ -573,10 +574,10 @@ def train(
     )
 
 
-def _check_hierarchy(model: HierModel, h: LabelHierarchy):
-    """Refuse a model trained against another hierarchy, or whose heads
-    are not ``h.labels`` in that order, as ``train`` writes them: so head
-    ``j`` closes through row ``j`` of ``h.closure``."""
+def check_hierarchy(model: HierModel, h: LabelHierarchy):
+    """Refuse (ValueError) a model trained against another hierarchy, or
+    whose heads are not ``h.labels`` in that order, as ``train`` writes
+    them: so head ``j`` closes through row ``j`` of ``h.closure``."""
     if h.fingerprint() != model.hierarchy_fingerprint:
         raise ValueError(
             "hierarchy fingerprint mismatch: the model was trained against a "
@@ -638,7 +639,7 @@ def predict(model: HierModel, h: LabelHierarchy, inst: MemeInstance) -> frozense
     one the model was trained against, and a model whose labels are not
     ``h.labels`` in order.
     """
-    _check_hierarchy(model, h)
+    check_hierarchy(model, h)
     return _predicted_sets(model, h, [inst])[0]
 
 
@@ -646,7 +647,7 @@ def predict_corpus(
     model: HierModel, h: LabelHierarchy, corpus: Iterable[MemeInstance]
 ) -> dict[str, frozenset[str]]:
     """:func:`predict` for every instance, keyed by id, scored in one batch."""
-    _check_hierarchy(model, h)
+    check_hierarchy(model, h)
     corpus = list(corpus)
     return {inst.id: labels
             for inst, labels in zip(corpus, _predicted_sets(model, h, corpus))}
@@ -670,7 +671,7 @@ def tune_thresholds(
     """
     import numpy as np
 
-    _check_hierarchy(model, h)
+    check_hierarchy(model, h)
     G = _gold_rows(dev_corpus, h, "dev")
     S = _score_matrix(model, dev_corpus)
     gold_total = int(G.sum())

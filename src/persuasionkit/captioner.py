@@ -421,18 +421,35 @@ def _outcome_record(outcome: CaptionOutcome) -> dict:
     }
 
 
+# How far back ``_cut_torn_tail`` reads at a time, looking for a newline.
+_TAIL_BLOCK = 1 << 16
+
+
 def _cut_torn_tail(path: str):
     """Drop an unterminated last line, as a crash mid-append leaves it.
 
-    Its id then counts as unfinished and is captioned again.
+    Its id then counts as unfinished and is captioned again.  Reads only
+    the last byte of an intact file, and leaves it untouched; of a torn
+    one, blocks back from the end to the last newline.
     """
     with open(path, "rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            keep = data.rfind(b"\n") + 1
-            logger.warning("checkpoint %s: dropping an unterminated last line "
-                           "(%d bytes); its id will be captioned again", path, len(data) - keep)
-            fh.truncate(keep)
+        end = fh.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        fh.seek(end - 1)
+        if fh.read(1) == b"\n":
+            return
+        keep = pos = end
+        while pos > 0:
+            start = max(0, pos - _TAIL_BLOCK)
+            fh.seek(start)
+            keep = start + fh.read(pos - start).rfind(b"\n") + 1
+            if keep > start:
+                break
+            pos = start
+        logger.warning("checkpoint %s: dropping an unterminated last line "
+                       "(%d bytes); its id will be captioned again", path, end - keep)
+        fh.truncate(keep)
 
 
 def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:

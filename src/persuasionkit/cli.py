@@ -8,8 +8,10 @@ bytes parsed: each is read once) and outputs, the resolved configuration
 and the toolkit version, so a run can be reproduced from the manifest
 alone.  An input that cannot be parsed is named as ``--FLAG PATH``.
 Outputs and manifests are written atomically and durably (temp file,
-fsync, rename, fsync of the directory); the caption checkpoint is
-appended to, and synced when it is closed.
+fsync, rename, fsync of the directory), and are encoded, hashed and
+written a piece at a time, so the captions file is never held whole in
+memory; the caption checkpoint is appended to, and synced when it is
+closed.
 
 Option precedence: command-line flags, then a ``--config`` JSON file,
 then ``PERSUASIONKIT_*`` environment variables, then built-in defaults.
@@ -26,6 +28,7 @@ import os
 import signal
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 
 from . import __version__
@@ -34,6 +37,7 @@ from .baseline import (
     MODE_TEXT_CAPTION,
     FeatureConfig,
     TrainConfig,
+    check_hierarchy,
     load_model,
     predict_corpus,
     save_model,
@@ -49,11 +53,12 @@ from .captioner import (
     checkpoint_to_captions,
 )
 from .corpus import (
+    caption_pieces,
     load_binary_predictions,
     load_corpus,
     load_predictions,
     read_json,
-    write_captions,
+    write_captions,  # not called here: the benchmark's tracer looks it up in this module
     write_predictions,
 )
 from .hierarchy import parse_hierarchy
@@ -122,18 +127,46 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: str, data: str | bytes) -> bytes:
+# About how much text ``_write`` encodes, hashes and writes at a time.
+_BLOCK = 1 << 16
+
+
+def _utf8_blocks(pieces: Iterable[str]) -> Iterator[bytes]:
+    """``pieces`` joined into UTF-8 blocks of about ``_BLOCK`` characters."""
+    buf: list[str] = []
+    size = 0
+    for piece in pieces:
+        buf.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            yield "".join(buf).encode("utf-8")
+            buf, size = [], 0
+    if buf:
+        yield "".join(buf).encode("utf-8")
+
+
+def _write(path: str, data: str | bytes | Iterable[str]) -> str:
     """Write ``data`` whole or not at all: a temp file in the output's
     directory, synced to disk, then ``os.replace`` over ``path`` and the
-    directory synced, so the rename outlives a power loss too.  Text is
-    UTF-8.  Returns the bytes written."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    directory synced, so the rename outlives a power loss too.
+
+    ``data`` is bytes, text, or text in pieces (a str or bytes is one
+    piece).  Text is UTF-8.  It is encoded, hashed and written about
+    ``_BLOCK`` characters at a time, so an output in pieces is never held
+    whole; one that fails to encode part way leaves no output and no temp
+    file.  Returns the sha256 hex digest of the bytes written."""
+    if isinstance(data, bytes):
+        blocks: Iterable[bytes] = (data,)
+    else:
+        blocks = _utf8_blocks((data,) if isinstance(data, str) else data)
+    digest = hashlib.sha256()
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for block in blocks:
+                digest.update(block)
+                fh.write(block)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -146,23 +179,35 @@ def _write(path: str, data: str | bytes) -> bytes:
         os.fsync(fd)
     finally:
         os.close(fd)
-    return data
+    return digest.hexdigest()
 
 
-def _write_manifest(out_path: str, output: bytes, command: str, config: dict, inputs: _Inputs):
-    """Write the manifest of ``output``, the bytes at ``out_path``."""
+def _sha256_file(path: str) -> str:
+    """The sha256 hex digest of the file at ``path``, read ``_BLOCK`` bytes
+    at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_manifest(out_path: str, digest: str, command: str, config: dict, inputs: _Inputs):
+    """Write the manifest of the output at ``out_path``, whose bytes have
+    the sha256 hex digest ``digest``."""
     manifest = {
         "tool": "persuasionkit",
         "version": __version__,
         "command": command,
         "config": config,
         "inputs": inputs.hashes,
-        "outputs": {out_path: "sha256:" + hashlib.sha256(output).hexdigest()},
+        "outputs": {out_path: "sha256:" + digest},
     }
     _write(out_path + ".manifest.json", _json(manifest))
 
 
-def _emit(out_path: str, data: str | bytes, command: str, config: dict, inputs: _Inputs):
+def _emit(out_path: str, data: str | bytes | Iterable[str], command: str, config: dict,
+          inputs: _Inputs):
     """Write one output, then its manifest."""
     _write_manifest(out_path, _write(out_path, data), command, config, inputs)
 
@@ -193,7 +238,8 @@ def _resolve(args: argparse.Namespace, config: dict):
     an integer, or a number; an integer or number may come as a string of
     one).  One of the wrong JSON type (null, a list, a bool, a number for
     a string, a float for an integer), a string the type refuses, or a
-    config key outside ``_LAYERED`` raises ValueError naming the key.
+    config key outside ``_LAYERED`` raises ValueError naming the key (and,
+    for a config value, ``--config PATH``).
     """
     unknown = sorted(set(config) - set(_LAYERED))
     if unknown:
@@ -205,7 +251,7 @@ def _resolve(args: argparse.Namespace, config: dict):
             continue
         env = _ENV_PREFIX + suffix
         if key in config:
-            val, source = config[key], f"config key {key!r}"
+            val, source = config[key], f"--config {args.config}: config key {key!r}"
         elif env in os.environ:
             val, source = os.environ[env], f"environment variable {env}"
         else:
@@ -388,12 +434,11 @@ def cmd_caption(args: argparse.Namespace, inputs: _Inputs, transport=None) -> in
         "force": args.force,
     }
     if args.captions_out:
-        _emit(args.captions_out, write_captions(checkpoint_to_captions(outcomes)),
+        _emit(args.captions_out, caption_pieces(checkpoint_to_captions(outcomes)),
               "caption", config, inputs)
     # The checkpoint is appended to as outcomes arrive; only its manifest
     # is written here, from the bytes on disk.
-    with open(args.out, "rb") as fh:
-        _write_manifest(args.out, fh.read(), "caption", config, inputs)
+    _write_manifest(args.out, _sha256_file(args.out), "caption", config, inputs)
     if counts[STATUS_TRANSPORT_ERROR]:
         print(f"{counts[STATUS_TRANSPORT_ERROR]} instance(s) failed on transport",
               file=sys.stderr)
@@ -427,6 +472,10 @@ def cmd_train(args: argparse.Namespace, inputs: _Inputs) -> int:
 def cmd_predict(args: argparse.Namespace, inputs: _Inputs) -> int:
     model = inputs.read("model", load_model)
     h = inputs.read("hierarchy", _hierarchy)
+    try:
+        check_hierarchy(model, h)
+    except ValueError as exc:
+        raise ValueError(f"--model {args.model} and --hierarchy {args.hierarchy}: {exc}") from None
     corpus = inputs.read("corpus", lambda data: load_corpus(data, hierarchy=h))
     preds = predict_corpus(model, h, corpus)
     # A text+caption model scores a caption-less instance on its text alone.

@@ -30,6 +30,8 @@ __all__ = [
     "write_binary_predictions",
     "load_captions",
     "write_captions",
+    "json_pieces",
+    "caption_pieces",
 ]
 
 logger = logging.getLogger(__name__)
@@ -59,6 +61,18 @@ class MemeInstance:
     caption: str | None = None
     caption_source: str | None = None
     lang: str | None = None
+
+
+# The encoder of every JSON array file written: ``json.dumps`` with these
+# options builds the same text, all at once.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+
+
+def json_pieces(records: list) -> Iterator[str]:
+    """The text of ``json.dumps(records, ensure_ascii=False, indent=2) +
+    "\n"`` in pieces, so a caller may write it without holding it whole."""
+    yield from _ENCODER.iterencode(records)
+    yield "\n"
 
 
 def read_json(data: str | bytes, what: str):
@@ -216,7 +230,7 @@ def dump_corpus(instances: Iterable[MemeInstance]) -> str:
         if inst.lang is not None:
             rec["lang"] = inst.lang
         records.append(rec)
-    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+    return "".join(json_pieces(records))
 
 
 def merge_captions(
@@ -280,7 +294,7 @@ def write_predictions(predictions: Mapping[str, Iterable[str]]) -> str:
     records = [
         {"id": iid, "labels": sorted(predictions[iid])} for iid in sorted(predictions)
     ]
-    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+    return "".join(json_pieces(records))
 
 
 def load_binary_predictions(data: str | bytes) -> dict[str, bool]:
@@ -306,7 +320,7 @@ def write_binary_predictions(predictions: Mapping[str, bool]) -> str:
         {"id": iid, "label": BINARY_POSITIVE if predictions[iid] else BINARY_NEGATIVE}
         for iid in sorted(predictions)
     ]
-    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+    return "".join(json_pieces(records))
 
 
 def load_captions(data: str | bytes) -> dict[str, tuple[str, str]]:
@@ -327,9 +341,13 @@ def load_captions(data: str | bytes) -> dict[str, tuple[str, str]]:
     return out
 
 
-def write_captions(captions: Mapping[str, tuple[str, str]]) -> str:
-    records = [
+def caption_pieces(captions: Mapping[str, tuple[str, str]]) -> Iterator[str]:
+    """The text of :func:`write_captions` in pieces (see :func:`json_pieces`)."""
+    return json_pieces([
         {"id": iid, "caption": captions[iid][0], "source": captions[iid][1]}
         for iid in sorted(captions)
-    ]
-    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+    ])
+
+
+def write_captions(captions: Mapping[str, tuple[str, str]]) -> str:
+    return "".join(caption_pieces(captions))

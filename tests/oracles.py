@@ -344,10 +344,10 @@ def reference_tune_thresholds(model, dev_corpus, h, max_passes: int = 2):
     """
     from dataclasses import replace
 
-    from persuasionkit.baseline import THRESHOLD_GRID, _check_hierarchy, _score_matrix
+    from persuasionkit.baseline import THRESHOLD_GRID, check_hierarchy, _score_matrix
     from persuasionkit.metrics import hierarchical_score
 
-    _check_hierarchy(model, h)
+    check_hierarchy(model, h)
     if not dev_corpus:
         raise ValueError("dev corpus is empty")
     for inst in dev_corpus:

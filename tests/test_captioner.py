@@ -5,13 +5,14 @@ import logging
 import os
 import random
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from persuasionkit import captioner
 from persuasionkit.captioner import (
@@ -684,3 +685,29 @@ def test_credential_never_leaks(monkeypatch, tmp_path, caplog):
         )
     assert secret not in Path(ck).read_text(encoding="utf-8")
     assert secret not in caplog.text
+
+
+_LINE = st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(_LINE, max_size=4), tail=st.none() | _LINE.filter(bool),
+       cut=st.integers(1, 40), block=st.integers(1, 9))
+@example(lines=[], tail=None, cut=1, block=4)  # an empty file
+@example(lines=[], tail="no newline", cut=10, block=4)  # one torn line, nothing kept
+@example(lines=["é"], tail="légende ✓", cut=2, block=4)  # cut inside "é"
+@example(lines=["légende ✓", "x"], tail=None, cut=1, block=4)  # intact
+def test_cut_torn_tail_keeps_whole_lines_and_leaves_an_intact_file_alone(
+        lines, tail, cut, block):
+    # A block of one byte up to a few, so the scan back crosses blocks.
+    intact = b"".join(line.encode("utf-8") + b"\n" for line in lines)
+    torn = b"" if tail is None else tail.encode("utf-8")[:cut]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.jsonl")
+        Path(path).write_bytes(intact + torn)
+        os.utime(path, ns=(10**9, 10**9))
+        with mock.patch.object(captioner, "_TAIL_BLOCK", block):
+            captioner._cut_torn_tail(path)
+        assert Path(path).read_bytes() == intact
+        if not torn:  # not rewritten, nor truncated to its own length
+            assert os.stat(path).st_mtime_ns == 10**9

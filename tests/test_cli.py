@@ -10,15 +10,16 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from persuasionkit import textmetrics
+from persuasionkit import cli, textmetrics
 from persuasionkit.baseline import FeatureConfig, TrainConfig
 from persuasionkit.cli import build_parser, main
-from persuasionkit.corpus import load_captions, load_predictions
+from persuasionkit.corpus import load_captions, load_predictions, write_captions
 
 from mocks import ScriptedTransport, ok_response, refusal_response
 from oracles import reference_bleu4, reference_lcs_len
@@ -446,7 +447,8 @@ def test_predict_refuses_a_model_it_cannot_score(tmp_path, capsys, saved_model, 
                "--corpus", corpus, "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    named = "" if orders is None else f"--model {model}: "  # a bad file, or a mismatch
+    # A bad file names it; a model that does not fit the hierarchy names both.
+    named = f"--model {model} and --hierarchy {WORKED_H}: " if orders is None else f"--model {model}: "
     assert err.startswith(f"error: {named}{problem}"), err
     assert "Traceback" not in err
     assert not os.path.exists(out)
@@ -916,6 +918,95 @@ def test_caption_torn_tail_is_cut_with_a_warning(tmp_path, caplog):
     assert read_text(ck).startswith(good + "\n" + "{")
 
 
+def _finished_checkpoint(path, captions: dict) -> list[dict]:
+    """Write a checkpoint in which each id of ``captions`` is finished: ok
+    with its caption, or refused on both prompts where it maps to None.
+    Returns the corpus of those ids."""
+    with open(path, "w", encoding="ascii") as fh:  # escapes, so a lone surrogate fits
+        for iid, cap in captions.items():
+            fh.write(json.dumps({"id": iid, "caption": cap, "source": "external-zero-shot",
+                                 "status": "refused_both" if cap is None else "ok_prompt1",
+                                 "attempts": 1, "model": "m"}) + "\n")
+    return [{"id": iid, "text": "t", "image": "https://img.test/x.png"} for iid in captions]
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+# Captions with quotes, backslashes, control and non-ASCII characters; some
+# longer than one piece of the streamed file.
+_CAPTION = _TEXT | _TEXT.filter(bool).map(lambda t: t * (cli._BLOCK // len(t) + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(captions=st.dictionaries(_TEXT.filter(bool), st.none() | _CAPTION, max_size=6))
+@example(captions={})
+@example(captions={"a": None})
+@example(captions={"é\\\"": "\u2028\t\"✓\"" * 30000, "b": ""})
+def test_streamed_captions_file_is_write_captions_and_its_manifest_hash(captions):
+    with tempfile.TemporaryDirectory() as tmp:
+        ck, caps = os.path.join(tmp, "ck.jsonl"), os.path.join(tmp, "captions.json")
+        corpus = write(os.path.join(tmp, "c.json"),
+                       json.dumps(_finished_checkpoint(ck, captions)))
+        transport = ScriptedTransport()
+        assert main(["caption", "--corpus", corpus, "--out", ck, "--captions-out", caps],
+                    transport=transport) == 0
+        assert transport.requests == []
+        data = Path(caps).read_bytes()
+        want = {iid: (cap, "external-zero-shot") for iid, cap in captions.items()
+                if cap is not None}
+        assert data == write_captions(want).encode("utf-8")
+        outputs = read_json(caps + ".manifest.json")["outputs"]
+        assert outputs == {caps: "sha256:" + hashlib.sha256(data).hexdigest()}
+        outputs = read_json(ck + ".manifest.json")["outputs"]
+        assert outputs == {ck: "sha256:" + hashlib.sha256(Path(ck).read_bytes()).hexdigest()}
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak, in bytes, of ``main(argv)``."""
+    tracemalloc.start()
+    try:
+        assert main(argv, transport=ScriptedTransport()) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_caption_streams_the_captions_file_instead_of_holding_it(tmp_path):
+    # 2 000 scripted captions of 150 long words, about 7 MB of captions
+    # file.  Building the file whole held it about three times over (the
+    # encoder's pieces, their join, and its UTF-8 bytes); streamed, writing
+    # it costs the caption records and one block.
+    n = 2000
+    corpus = write(tmp_path / "c.json", json.dumps(
+        [{"id": f"m{k:05d}", "text": f"text {k}", "image": f"https://img.test/{k}.png"}
+         for k in range(n)]))
+    script = [ok_response(" ".join(f"w{k:05d}-{j:03d}-persuasion" for j in range(150)))
+              for k in range(n)]
+    ck, caps = str(tmp_path / "ck.jsonl"), str(tmp_path / "captions.json")
+    assert main(["caption", "--corpus", corpus, "--out", ck],
+                transport=ScriptedTransport(script)) == 0
+    # Resumed runs send nothing: they differ only in writing the captions.
+    without = _traced_peak(["caption", "--corpus", corpus, "--out", ck])
+    with_captions = _traced_peak(["caption", "--corpus", corpus, "--out", ck,
+                                  "--captions-out", caps])
+    size = os.path.getsize(caps)
+    assert size > 6_000_000
+    assert with_captions - without < size / 4, (with_captions - without, size)
+
+
+def test_caption_output_that_cannot_be_encoded_leaves_no_file(tmp_path, capsys):
+    # The lone surrogate comes after more than one block of text, so the
+    # temp file already holds a block when the encoding fails.
+    ck, caps = str(tmp_path / "ck.jsonl"), str(tmp_path / "captions.json")
+    corpus = write(tmp_path / "c.json", json.dumps(_finished_checkpoint(
+        ck, {"a": "x" * (2 * cli._BLOCK), "b": "bad \ud800 caption"})))
+    rc = main(["caption", "--corpus", corpus, "--out", ck, "--captions-out", caps],
+              transport=ScriptedTransport())
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'"), err
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "ck.jsonl"]
+
+
 def test_caption_refuses_a_checkpoint_another_run_holds(tmp_path, capsys):
     # While another process holds the lock, no request is sent and the
     # checkpoint, torn tail included, is left as it is.
@@ -1300,12 +1391,14 @@ def test_wrongly_typed_config_or_environment_value_is_validation_error(
     else:
         monkeypatch.setenv("PERSUASIONKIT_SEED", env)
     out = str(tmp_path / "r.json")
-    rc = main(["--config", write(tmp_path / "cfg.json", json.dumps(cfg)),
+    config = write(tmp_path / "cfg.json", json.dumps(cfg))
+    rc = main(["--config", config,
                "score", "--task", "hier", "--hierarchy", WORKED_H,
                "--gold", gold, "--pred", pred, "--bootstrap", "10", "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    named = "" if env is not None else f"--config {config}: "  # a config value names its file
+    assert err == f"error: {named}{message}\n"
     assert not os.path.exists(out)
 
 
@@ -1319,11 +1412,12 @@ def test_caption_refuses_a_wrongly_typed_config_value_before_any_request(
         tmp_path, capsys, cfg, message):
     corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
     transport = ScriptedTransport()
-    rc = main(["--config", write(tmp_path / "cfg.json", json.dumps(cfg)),
+    config = write(tmp_path / "cfg.json", json.dumps(cfg))
+    rc = main(["--config", config,
                "caption", "--corpus", corpus, "--out", str(tmp_path / "ck.jsonl")],
               transport=transport)
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: --config {config}: {message}\n"
     assert transport.requests == []
 
 
