@@ -30,6 +30,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
+from .baseline import _interrupt_sets
 from .corpus import MemeInstance, read_int, read_json
 
 __all__ = [
@@ -300,7 +301,9 @@ def _is_refusal(resp: dict) -> tuple[bool, str]:
 
     Raises TransportError for a response without the chat-completions
     shape: a first choice that is an object, whose ``message`` (if any) is
-    an object, whose content is text or a list of text parts.
+    an object, whose content is text or a list of text parts.  So does
+    text that cannot be encoded as UTF-8 (a lone surrogate, which JSON can
+    escape), since no checkpoint line could hold it.
     """
     try:
         choice = resp["choices"][0]
@@ -322,6 +325,10 @@ def _is_refusal(resp: dict) -> tuple[bool, str]:
     if not isinstance(content, str):
         raise TransportError("malformed provider response: content is not text")
     text = content.strip()
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise TransportError("malformed provider response: content holds a lone surrogate")
     return finish == "content_filter" or not text or bool(_REFUSAL_RE.search(text)), text
 
 
@@ -529,9 +536,11 @@ def caption_corpus(
     checkpoint as it completes; with one worker the lines follow corpus
     order.  Once a worker raises, or Ctrl-C reaches the calling thread, no
     worker starts another instance; the call waits for the ones in flight
-    and then raises that exception.  The checkpoint is synced to disk
-    before it is closed.  The returned map includes resumed terminal
-    outcomes.
+    and then raises that exception.  In the main thread, Ctrl-C only sets
+    that stop, a second one too, and KeyboardInterrupt is raised once every
+    worker has ended, so each outcome in flight reaches the checkpoint
+    before it is synced to disk and closed.  The returned map includes
+    resumed terminal outcomes.
 
     Raises ValueError, before the checkpoint is touched, for a
     ``concurrency`` below 1 or a rate that is not positive and finite.
@@ -591,7 +600,7 @@ def caption_corpus(
         workers = min(concurrency, len(todo))
         if workers:
             queue = iter(todo)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with _interrupt_sets(stop), ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
                     for job in as_completed([pool.submit(work, queue) for _ in range(workers)]):
                         job.result()

@@ -64,12 +64,10 @@ from .corpus import (
 from .hierarchy import parse_hierarchy
 from .metrics import (
     binary_from_totals,
-    binary_tallies,
     bootstrap_ci,
     flat_binary_score,
     hierarchical_from_totals,
     hierarchical_score,
-    hierarchical_tallies,
     per_class_hierarchical_diagnostics,
 )
 from .textmetrics import score_caption_pairs
@@ -239,11 +237,12 @@ def _resolve(args: argparse.Namespace, config: dict):
     one).  One of the wrong JSON type (null, a list, a bool, a number for
     a string, a float for an integer), a string the type refuses, or a
     config key outside ``_LAYERED`` raises ValueError naming the key (and,
-    for a config value, ``--config PATH``).
+    for a config key or value, ``--config PATH``).
     """
     unknown = sorted(set(config) - set(_LAYERED))
     if unknown:
-        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; "
+        raise ValueError(f"--config {args.config}: unknown config key "
+                         f"{', '.join(map(repr, unknown))}; "
                          f"a --config file may set only {', '.join(_LAYERED)}")
     given = vars(args)
     for key, (suffix, cast, default) in _LAYERED.items():
@@ -367,9 +366,7 @@ def _score_hier(args: argparse.Namespace, inputs: _Inputs) -> dict:
     }
     if args.bootstrap:
         report["bootstrap"] = {"h_f_beta": _bootstrap(
-            args, lambda totals: hierarchical_from_totals(totals, beta)[2],
-            hierarchical_tallies(h, gold, pred),
-        )}
+            args, lambda totals: hierarchical_from_totals(totals, beta)[2], score.tallies)}
     _print_table([("H-F%g" % beta if beta != 1.0 else "H-F1", score.hf_beta),
                   ("H-Precision", score.hp), ("H-Recall", score.hr)])
     return report
@@ -388,10 +385,10 @@ def _score_binary(args: argparse.Namespace, inputs: _Inputs) -> dict:
         "per_class": {name: asdict(cs) for name, cs in score.per_class.items()},
     }
     if args.bootstrap:
-        tallies = binary_tallies(gold, pred)
         report["bootstrap"] = {
             key: _bootstrap(
-                args, lambda totals, key=key: getattr(binary_from_totals(totals), key), tallies
+                args, lambda totals, key=key: getattr(binary_from_totals(totals), key),
+                score.tallies,
             )
             for key in ("macro_f1", "micro_f1")
         }
@@ -448,6 +445,14 @@ def cmd_caption(args: argparse.Namespace, inputs: _Inputs, transport=None) -> in
 
 # -- train / predict ---------------------------------------------------------
 
+def _degraded(mode: str, *corpora) -> int:
+    """How many instances a ``text+caption`` run featurizes on their text
+    alone, for want of a caption; 0 in ``text`` mode."""
+    if mode != MODE_TEXT_CAPTION:
+        return 0
+    return sum(inst.caption is None for corpus in corpora for inst in corpus)
+
+
 def cmd_train(args: argparse.Namespace, inputs: _Inputs) -> int:
     h = inputs.read("hierarchy", _hierarchy)
 
@@ -459,11 +464,16 @@ def cmd_train(args: argparse.Namespace, inputs: _Inputs) -> int:
     dev = inputs.read("tune_dev", labeled) if args.tune_dev else None
     fcfg = FeatureConfig(dimension=args.dim, mode=args.mode)
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, l2=args.l2)
+    degraded = _degraded(args.mode, corpus, dev or ())
+    if degraded:
+        logger.warning("%d instance(s) lacked a caption; trained on text features only",
+                       degraded)
     model = train(corpus, h, fcfg, tcfg, seed=args.seed)
     if dev is not None:
         model = tune_thresholds(model, dev, h)
     config = {"mode": args.mode, "dim": args.dim, "epochs": args.epochs, "lr": args.lr,
-              "l2": args.l2, "seed": args.seed, "tuned": bool(args.tune_dev)}
+              "l2": args.l2, "seed": args.seed, "tuned": bool(args.tune_dev),
+              "degraded_to_text_only": degraded}
     _emit(args.out, save_model(model), "train", config, inputs)
     print(f"trained {len(model.labels)} label heads -> {args.out}")
     return 0
@@ -478,10 +488,7 @@ def cmd_predict(args: argparse.Namespace, inputs: _Inputs) -> int:
         raise ValueError(f"--model {args.model} and --hierarchy {args.hierarchy}: {exc}") from None
     corpus = inputs.read("corpus", lambda data: load_corpus(data, hierarchy=h))
     preds = predict_corpus(model, h, corpus)
-    # A text+caption model scores a caption-less instance on its text alone.
-    degraded = 0
-    if model.feature_config.mode == MODE_TEXT_CAPTION:
-        degraded = sum(inst.caption is None for inst in corpus)
+    degraded = _degraded(model.feature_config.mode, corpus)
     if degraded:
         logger.warning("%d instance(s) lacked a caption; scored on text features only", degraded)
     config = {"mode": model.feature_config.mode, "degraded_to_text_only": degraded}

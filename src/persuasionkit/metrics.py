@@ -6,9 +6,10 @@ sets (gold and predicted sets are both closed upward before any set
 arithmetic), not averages of per-instance scores.  The virtual root never
 enters a label set, so it earns no credit.
 
-Every score is a function of integer totals: per-instance tally rows
-(``hierarchical_tallies``, ``binary_tallies``) summed over the corpus.
-The bootstrap resamples those rows, so a resample costs one weighted sum.
+Every score is a function of integer totals: per-instance tally rows,
+summed over the corpus, which a score built from label maps keeps in its
+``tallies`` field.  The bootstrap resamples those rows, so a resample
+costs one weighted sum.
 numpy is imported inside the functions that build arrays.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .hierarchy import HierarchyError, LabelHierarchy
@@ -32,11 +33,9 @@ __all__ = [
     "FlatScore",
     "BootstrapInterval",
     "fbeta",
-    "hierarchical_tallies",
     "hierarchical_from_totals",
     "hierarchical_score",
     "per_class_hierarchical_diagnostics",
-    "binary_tallies",
     "binary_from_totals",
     "flat_binary_score",
     "bootstrap_ci",
@@ -59,6 +58,8 @@ class HierarchicalScore:
     gold_total: int     # sum_i |ext(gold_i)|
     n_instances: int
     missing_pred_ids: tuple[str, ...]
+    # (n, 3) int64 [overlap, predicted, gold] rows, one per gold id in sorted id order
+    tallies: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,9 @@ class FlatScore:
     macro_f1: float
     per_class: dict[str, ClassScore]
     n_instances: int
+    # (n, 4) int64 one-hot [tp, fp, fn, tn] rows, one per id in sorted id
+    # order; None when built from totals alone
+    tallies: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -151,26 +155,6 @@ def _closed_rows(
     return rows[0::2], rows[1::2]
 
 
-def hierarchical_tallies(
-    h: LabelHierarchy,
-    gold: Mapping[str, Iterable[str]],
-    pred: Mapping[str, Iterable[str]],
-) -> np.ndarray:
-    """Per-instance ``[overlap, predicted, gold]`` sizes of the closed sets.
-
-    Returns an ``(n, 3)`` int64 array, one row per gold id in sorted id
-    order.  Ids missing from ``pred`` count as empty predictions; the
-    validation and errors are those of :func:`hierarchical_score`.
-    """
-    import numpy as np
-
-    G, P = _closed_rows(h, gold, pred)
-    tallies = np.stack([(G & P).sum(axis=1), P.sum(axis=1), G.sum(axis=1)], axis=1)
-    ids = list(gold)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    return tallies[order].astype(np.int64)
-
-
 def hierarchical_from_totals(totals, beta: float = 1.0) -> tuple[float, float, float]:
     """(HP, HR, HF-beta) from corpus ``[overlap, predicted, gold]`` totals.
 
@@ -203,8 +187,16 @@ def hierarchical_score(
     empty predictions and reported in ``missing_pred_ids``.  Both sides
     are extended (ancestor-closed) before the sums are taken; the
     zero-denominator policy is that of :func:`hierarchical_from_totals`.
+    The score keeps the per-instance sizes of the closed sets in ``tallies``.
     """
-    totals = tuple(int(v) for v in hierarchical_tallies(h, gold, pred).sum(axis=0))
+    import numpy as np
+
+    G, P = _closed_rows(h, gold, pred)
+    ids = list(gold)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    tallies = np.stack([(G & P).sum(axis=1), P.sum(axis=1), G.sum(axis=1)],
+                       axis=1)[order].astype(np.int64)
+    totals = tuple(int(v) for v in tallies.sum(axis=0))
     overlap, pred_total, gold_total = totals
     hp, hr, hf = hierarchical_from_totals(totals, beta)
     return HierarchicalScore(
@@ -217,6 +209,7 @@ def hierarchical_score(
         gold_total=gold_total,
         n_instances=len(gold),
         missing_pred_ids=tuple(sorted(set(gold) - set(pred))),
+        tallies=tallies,
     )
 
 
@@ -248,25 +241,6 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f
 
 
-def binary_tallies(gold: Mapping[str, bool], pred: Mapping[str, bool]) -> np.ndarray:
-    """One-hot ``[tp, fp, fn, tn]`` rows, one per id in sorted id order.
-
-    Gold and pred must cover the same nonempty id set.
-    """
-    import numpy as np
-
-    if not gold:
-        raise ValueError("empty corpus: no gold instances")
-    if set(gold) != set(pred):
-        diff = sorted(set(gold) ^ set(pred))
-        raise ValueError(f"gold/pred instance ids differ: {diff[:5]}")
-    ids = sorted(gold)
-    g = np.array([bool(gold[i]) for i in ids], dtype=bool)
-    p = np.array([bool(pred[i]) for i in ids], dtype=bool)
-    cell = np.where(g, np.where(p, 0, 2), np.where(p, 1, 3))
-    return np.eye(4, dtype=np.int64)[cell]
-
-
 def binary_from_totals(totals) -> FlatScore:
     """Binary micro/macro F1 from corpus ``[tp, fp, fn, tn]`` totals.
 
@@ -288,8 +262,21 @@ def flat_binary_score(
     gold: Mapping[str, bool], pred: Mapping[str, bool]
 ) -> FlatScore:
     """Binary micro/macro F1 for the propagandistic-or-not task; see
-    :func:`binary_from_totals`."""
-    return binary_from_totals(binary_tallies(gold, pred).sum(axis=0))
+    :func:`binary_from_totals`.  Gold and pred must cover the same nonempty
+    id set; the score keeps each id's one-hot row in ``tallies``."""
+    import numpy as np
+
+    if not gold:
+        raise ValueError("empty corpus: no gold instances")
+    if set(gold) != set(pred):
+        diff = sorted(set(gold) ^ set(pred))
+        raise ValueError(f"gold/pred instance ids differ: {diff[:5]}")
+    ids = sorted(gold)
+    g = np.array([bool(gold[i]) for i in ids], dtype=bool)
+    p = np.array([bool(pred[i]) for i in ids], dtype=bool)
+    cell = np.where(g, np.where(p, 0, 2), np.where(p, 1, 3))
+    tallies = np.eye(4, dtype=np.int64)[cell]
+    return replace(binary_from_totals(tallies.sum(axis=0)), tallies=tallies)
 
 
 def _percentile(ordered: np.ndarray, q: float) -> float:
@@ -323,8 +310,8 @@ def bootstrap_ci(
 ) -> BootstrapInterval:
     """Percentile bootstrap over instance resampling.
 
-    ``tallies`` holds one integer row per instance (as returned by
-    :func:`hierarchical_tallies` or :func:`binary_tallies`), and
+    ``tallies`` holds one integer row per instance (a score's ``tallies``
+    field), and
     ``statistic`` maps a column-sum row to a float; the point estimate is
     the statistic of the full sample's sums.  Resample ``i`` draws its
     indices from ``numpy.random.default_rng([seed, i])`` and scores the

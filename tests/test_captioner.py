@@ -185,6 +185,7 @@ def test_give_up_warning_names_the_instance(caplog):
     {"choices": [{"message": {"content": 5}}]},
     {"choices": [{"message": {"content": {"text": "hi"}}}]},
     {"choices": [{"message": {"content": [{"type": "text", "text": 5}]}}]},
+    {"choices": [{"message": {"content": "bad \ud800 caption"}}]},  # no UTF-8 for it
 ])
 def test_malformed_response_shapes_end_as_transport_error(resp):
     t = ScriptedTransport([resp])

@@ -221,6 +221,25 @@ def test_score_bootstrap_block(tmp_path):
     assert ci["lower"] <= ci["point"] <= ci["upper"]
 
 
+def test_score_bootstrap_closes_each_label_set_twice(tmp_path, monkeypatch):
+    # Once for the score, whose tallies the bootstrap resamples, and once
+    # for the per-class table; each call closes every gold and pred set.
+    from persuasionkit.hierarchy import LabelHierarchy
+
+    gold, pred = _boot_files(tmp_path)
+    calls = []
+    closed_rows = LabelHierarchy.closed_rows
+
+    def counted(self, label_sets):
+        calls.append(1)
+        return closed_rows(self, label_sets)
+
+    monkeypatch.setattr(LabelHierarchy, "closed_rows", counted)
+    assert main(["score", "--task", "hier", "--hierarchy", WORKED_H, "--gold", gold,
+                 "--pred", pred, "--bootstrap", "5", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 2
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     gold, pred = _boot_files(tmp_path)
 
@@ -297,7 +316,10 @@ def test_train_with_tuning_and_caption_mode(tmp_path):
                "--mode", "text+caption", "--dim", "1024", "--epochs", "300",
                "--tune-dev", corpus, "--out", model])
     assert rc == 0
-    assert read_json(model + ".manifest.json")["config"]["tuned"] is True
+    config = read_json(model + ".manifest.json")["config"]
+    assert config["tuned"] is True
+    # no instance has a caption: four in --corpus and four in --tune-dev
+    assert config["degraded_to_text_only"] == 8
 
     preds_path = str(tmp_path / "preds.json")
     assert main(["predict", "--model", model, "--hierarchy", WORKED_H,
@@ -766,6 +788,25 @@ def test_predict_counts_caption_less_instances(tmp_path, caplog):
         assert warned == bool(degraded)
 
 
+def test_train_counts_caption_less_instances(tmp_path, caplog):
+    # A text+caption model trains a caption-less instance on its text alone;
+    # train says so, as predict does, and still exits 0.
+    labeled = [dict(rec, caption=f"caption {rec['id']}", caption_source="manual")
+               for rec in MEM_CORPUS]
+    mixed = write(tmp_path / "mixed.json", json.dumps(
+        labeled[:1] + MEM_CORPUS[1:3] + labeled[3:]))  # d2, d3 lack captions
+    dev = _write_mem_corpus(tmp_path)  # no captions at all
+    for mode, degraded in (("text+caption", 6), ("text", 0)):
+        model = str(tmp_path / f"{mode}.model.json")
+        caplog.clear()
+        assert main(["train", "--hierarchy", WORKED_H, "--corpus", mixed, "--tune-dev", dev,
+                     "--mode", mode, "--dim", "1024", "--epochs", "20", "--out", model]) == 0
+        config = read_json(model + ".manifest.json")["config"]
+        assert config["mode"] == mode and config["degraded_to_text_only"] == degraded
+        warned = "6 instance(s) lacked a caption; trained on text features only" in caplog.text
+        assert warned == bool(degraded)
+
+
 # -- caption -------------------------------------------------------------------
 
 CAPTION_CORPUS = [
@@ -813,6 +854,25 @@ def test_caption_malformed_choice_exit_code(tmp_path, capsys):
               transport=transport)
     assert rc == 3
     assert "2 instance(s) failed on transport" in capsys.readouterr().err
+
+
+def test_caption_with_a_lone_surrogate_ends_its_meme_as_transport_error(
+        tmp_path, capsys, caplog):
+    # Valid JSON, but no UTF-8 checkpoint line can hold it: the run used
+    # to exit 1 at that meme, and again on every rerun.
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    ck, caps = str(tmp_path / "ck.jsonl"), str(tmp_path / "captions.json")
+    transport = ScriptedTransport([ok_response("bad \ud800 caption")])
+    rc = main(["caption", "--corpus", corpus, "--out", ck, "--captions-out", caps],
+              transport=transport)
+    assert rc == 3
+    assert "1 instance(s) failed on transport" in capsys.readouterr().err
+    assert "instance a: malformed provider response: content holds a lone surrogate" \
+        in caplog.text
+    assert len(transport.requests) == 2  # not retried
+    assert [(rec["id"], rec["status"]) for rec in map(json.loads, read_text(ck).splitlines())] \
+        == [("a", "transport_error"), ("b", "ok_prompt1")]
+    assert load_captions(read_text(caps)) == {"b": ("a caption", "external-zero-shot")}
 
 
 def test_caption_bad_checkpoint_record_is_validation_error(tmp_path, capsys):
@@ -1065,15 +1125,17 @@ def test_caption_rejects_bad_rate_or_jobs_before_any_request(tmp_path, capsys, m
 
 # -- caption-eval ----------------------------------------------------------------
 
-# Runs caption against a transport that answers in 10 ms, announces
-# "captioning" on stdout at the fourth request, and takes 0.5 s for each
-# later one, so every worker is inside a meme when SIGINT comes.  SIGINT
-# raises KeyboardInterrupt even where the test run ignores it, as a
-# shell's background job does.
+# Runs caption (the arguments after the first two) against a transport
+# that answers the first four requests in 10 ms and each later one in
+# SLOW seconds, prints "sent" on stderr for every request, and announces
+# "captioning" on stdout at request ANNOUNCE, so every worker is inside a meme when
+# SIGINT comes.  SIGINT raises KeyboardInterrupt even where the test run
+# ignores it, as a shell's background job does.
 _CAPTION_SCRIPT = """
 import signal, sys, threading, time
 from persuasionkit.cli import main
 signal.signal(signal.SIGINT, signal.default_int_handler)
+announce, slow = int(sys.argv[1]), float(sys.argv[2])
 class Transport:
     def __init__(self):
         self.sent, self.lock = 0, threading.Lock()
@@ -1081,18 +1143,20 @@ class Transport:
         with self.lock:
             self.sent += 1
             sent = self.sent
-        if sent == 4:
-            print("captioning", flush=True)
-        time.sleep(0.01 if sent <= 4 else 0.5)
+            print("sent", file=sys.stderr, flush=True)
+            if sent == announce:
+                print("captioning", flush=True)
+        time.sleep(0.01 if sent <= 4 else slow)
         return {"choices": [{"finish_reason": "stop", "message": {"content": "a caption"}}]}
-sys.exit(main(sys.argv[1:], transport=Transport()))
+sys.exit(main(sys.argv[3:], transport=Transport()))
 """
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_interrupted_caption_starts_no_new_meme(tmp_path, jobs):
-    # SIGINT lets each worker finish the meme it holds; none starts
-    # another, and the checkpoint holds whole lines only.
+def _interrupt_caption(tmp_path, jobs, announce, slow, intervals):
+    """Run ``_CAPTION_SCRIPT`` on 1 000 memes with ``--jobs jobs``, send
+    SIGINT once it announces and again after each of ``intervals``
+    seconds; returns (status, stderr, seconds from the first SIGINT to the
+    exit, requests sent, checkpoint text)."""
     src = os.path.join(HERE, "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -1101,26 +1165,51 @@ def test_interrupted_caption_starts_no_new_meme(tmp_path, jobs):
     corpus = write(tmp_path / "c.json", json.dumps(memes))
     ck = tmp_path / "ck.jsonl"
     argv = ["caption", "--corpus", corpus, "--out", str(ck), "--jobs", str(jobs)]
-    proc = subprocess.Popen([sys.executable, "-c", _CAPTION_SCRIPT, *argv],
+    proc = subprocess.Popen([sys.executable, "-c", _CAPTION_SCRIPT, str(announce), str(slow),
+                             *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             env=env)
     try:
-        assert select.select([proc.stdout], [], [], 60)[0], "no fourth request"
+        assert select.select([proc.stdout], [], [], 60)[0], "no announcement"
         assert proc.stdout.readline() == "captioning\n"
         proc.send_signal(signal.SIGINT)
         start = time.monotonic()
+        for interval in intervals:
+            time.sleep(interval)
+            proc.send_signal(signal.SIGINT)
         _, stderr = proc.communicate(timeout=60)
         elapsed = time.monotonic() - start
     finally:
         proc.kill()
         proc.communicate()
-    assert proc.returncode == -signal.SIGINT, stderr
+    return proc.returncode, stderr, elapsed, stderr.count("sent\n"), read_text(ck)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_caption_starts_no_new_meme(tmp_path, jobs):
+    # SIGINT lets each worker finish the meme it holds; none starts
+    # another, and the checkpoint holds whole lines only.
+    status, stderr, elapsed, sent, text = _interrupt_caption(tmp_path, jobs, 4, 0.5, [])
+    assert status == -signal.SIGINT, stderr
     assert "KeyboardInterrupt" in stderr
     assert elapsed < 5.0
-    text = read_text(ck)
     assert text == "".join(line + "\n" for line in text.splitlines())
     # Four requests announce; then each worker finishes at most one meme.
     assert len(text.splitlines()) <= 4 + jobs - 1
+
+
+def test_second_interrupt_keeps_the_captions_in_flight(tmp_path):
+    # Both workers hold a 1.5 s request when the first SIGINT comes; a
+    # second one 0.3 s later used to close the checkpoint under them, so
+    # their two lines were lost (4 lines, against 6 after one SIGINT).
+    status, stderr, elapsed, sent, text = _interrupt_caption(tmp_path, 2, 6, 1.5, [0.3])
+    assert status == -signal.SIGINT, stderr
+    assert "KeyboardInterrupt" in stderr
+    assert elapsed < 5.0
+    assert sent == 6
+    assert text == "".join(line + "\n" for line in text.splitlines())
+    assert sorted(json.loads(line)["id"] for line in text.splitlines()) == [
+        f"m{k}" for k in range(6)]
 
 
 def test_caption_eval(tmp_path, capsys):
@@ -1496,12 +1585,13 @@ def test_unknown_config_key_is_refused_before_anything_runs(
     }[command]
     before = set(os.listdir(tmp_path))
     transport = ScriptedTransport()
-    rc = main(["--config", write(tmp_path / "cfg.json", json.dumps(cfg))] + argv,
-              transport=transport)
+    path = write(tmp_path / "cfg.json", json.dumps(cfg))
+    rc = main(["--config", path] + argv, transport=transport)
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: unknown config key {named}; a --config file may set only "
+    assert captured.err == (f"error: --config {path}: unknown config key {named}; a --config "
+                            "file may set only "
                             "endpoint, model_name, credential_env, rate_limit, jobs, seed\n")
     assert set(os.listdir(tmp_path)) == before | {"cfg.json"}
     assert transport.requests == []
@@ -1535,7 +1625,7 @@ def test_module_entry_exits_with_the_command_status(tmp_path):
          "--hierarchy", WORKED_H],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: unknown config key 'sed'")
+    assert proc.stderr.startswith(f"error: --config {cfg}: unknown config key 'sed'; ")
     assert "Traceback" not in proc.stderr
 
 
@@ -1585,7 +1675,8 @@ def test_report_and_manifest_key_sets(tmp_path):
                  "--dim", "1024", "--epochs", "20", "--out", model]) == 0
     man = read_json(model + ".manifest.json")
     assert set(man) == manifest_keys
-    assert set(man["config"]) == {"mode", "dim", "epochs", "lr", "l2", "seed", "tuned"}
+    assert set(man["config"]) == {"mode", "dim", "epochs", "lr", "l2", "seed", "tuned",
+                                  "degraded_to_text_only"}
 
     preds = str(tmp_path / "preds.json")
     assert main(["predict", "--model", model, "--hierarchy", WORKED_H,

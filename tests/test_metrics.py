@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -9,13 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from persuasionkit.hierarchy import LabelHierarchy, UnknownLabelError, parse_hierarchy
 from persuasionkit.metrics import (
     binary_from_totals,
-    binary_tallies,
     bootstrap_ci,
     fbeta,
     flat_binary_score,
     hierarchical_from_totals,
     hierarchical_score,
-    hierarchical_tallies,
     per_class_hierarchical_diagnostics,
 )
 from persuasionkit.metrics import _percentile
@@ -131,26 +130,34 @@ def test_label_set_errors_name_the_first_offending_set(worked):
     with pytest.raises(UnknownLabelError, match=r"^pred\[b\]: "):
         hierarchical_score(worked, gold, {"b": {"Bad"}})
     with pytest.raises(ValueError, match=r"^pred\[b\]: the virtual root"):
-        hierarchical_tallies(worked, {"b": set()}, {"b": {"persuasion"}})
+        hierarchical_score(worked, {"b": set()}, {"b": {"persuasion"}})
 
 
 def test_hierarchical_tallies_rows(worked):
     gold = {"b": {"NameCalling"}, "a": {"Pathos"}, "c": set()}
     pred = {"b": {"Ethos"}, "c": {"Pathos"}}
-    t = hierarchical_tallies(worked, gold, pred)
+    s = hierarchical_score(worked, gold, pred)
+    t = s.tallies
     assert t.dtype == np.int64
     # rows in sorted id order: a (pred missing), b, c
     assert t.tolist() == [[0, 0, 1], [1, 1, 2], [0, 1, 0]]
-    s = hierarchical_score(worked, gold, pred)
     assert t.sum(axis=0).tolist() == [s.overlap_total, s.pred_total, s.gold_total]
     assert hierarchical_from_totals(t.sum(axis=0)) == (s.hp, s.hr, s.hf_beta)
+    # the rows take no part in equality or repr
+    assert dataclasses.replace(s, tallies=t[::-1]) == s
+    assert "tallies" not in repr(s)
 
 
 def test_binary_tallies_rows():
-    t = binary_tallies({"d": False, "a": True, "c": False, "b": True},
-                       {"a": True, "b": False, "c": True, "d": False})
+    s = flat_binary_score({"d": False, "a": True, "c": False, "b": True},
+                          {"a": True, "b": False, "c": True, "d": False})
+    t = s.tallies
+    assert t.dtype == np.int64
     assert t.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
-    assert binary_from_totals(t.sum(axis=0)).n_instances == 4
+    from_totals = binary_from_totals(t.sum(axis=0))
+    assert from_totals.tallies is None
+    assert from_totals == s and from_totals.n_instances == 4
+    assert "tallies" not in repr(s)
 
 
 def test_fbeta_worked_values():
@@ -242,7 +249,7 @@ def _hf1(h):
 
 def _hier_ci(h, gold, pred, **kw):
     return bootstrap_ci(lambda totals: hierarchical_from_totals(totals)[2],
-                        hierarchical_tallies(h, gold, pred), **kw)
+                        hierarchical_score(h, gold, pred).tallies, **kw)
 
 
 def test_bootstrap_deterministic_and_matches_independent_resampler(worked):
@@ -311,7 +318,7 @@ def test_bootstrap_nan_statistic_is_refused(worked):
     gold = {"a": {"Pathos"}, "b": {"Ethos"}}
     with pytest.raises(ValueError, match="NaN"):
         bootstrap_ci(lambda totals: float("nan") if totals[0] != 1 else 0.5,
-                     hierarchical_tallies(worked, gold, gold), resamples=20, seed=0)
+                     hierarchical_score(worked, gold, gold).tallies, resamples=20, seed=0)
 
 
 def _hierarchies():
@@ -351,7 +358,7 @@ def test_hier_bootstrap_equals_brute_resampler(case):
     h, gold, pred, beta, kw = case
     edges = sorted(h.edges)
     ci = bootstrap_ci(lambda t: hierarchical_from_totals(t, beta)[2],
-                      hierarchical_tallies(h, gold, pred), **kw)
+                      hierarchical_score(h, gold, pred).tallies, **kw)
     # the brute resampler reads pred[id], so missing ids ride along as empty sets
     filled = {iid: pred.get(iid, frozenset()) for iid in gold}
     point, lo, hi = brute_bootstrap(
@@ -374,7 +381,7 @@ def _binary_cases(draw):
           {"resamples": 30, "seed": 3, "confidence": 0.9}))
 def test_binary_bootstrap_equals_brute_resampler(case):
     gold, pred, kw = case
-    tallies = binary_tallies(gold, pred)
+    tallies = flat_binary_score(gold, pred).tallies
     macro = bootstrap_ci(lambda t: binary_from_totals(t).macro_f1, tallies, **kw)
     micro = bootstrap_ci(lambda t: binary_from_totals(t).micro_f1, tallies, **kw)
     args = (gold, pred, kw["resamples"], kw["seed"], kw["confidence"])
