@@ -462,8 +462,8 @@ def _cut_torn_tail(path: str):
 def load_checkpoint(path: str) -> dict[str, CaptionOutcome]:
     """Read a JSONL checkpoint; later records for an id win.
 
-    Raises ValueError naming the line for a line that is not UTF-8 JSON,
-    not an object, or holds what ``_outcome_record`` never writes: no
+    Raises ValueError naming the line for a line that is not UTF-8 JSON
+    (or spells a lone surrogate, see ``read_json``), not an object, or holds what ``_outcome_record`` never writes: no
     string ``id``, a ``status`` outside the four statuses, a ``caption``
     that is neither a string nor null (a string on an ok status), a
     ``model`` that is not a string, or an ``attempts`` that is not an

@@ -237,7 +237,8 @@ def _resolve(args: argparse.Namespace, config: dict):
     one).  One of the wrong JSON type (null, a list, a bool, a number for
     a string, a float for an integer), a string the type refuses, or a
     config key outside ``_LAYERED`` raises ValueError naming the key (and,
-    for a config key or value, ``--config PATH``).
+    for a config key or value, ``--config PATH``).  ``args.origin`` maps
+    each option set to where its value came from, in the same words.
     """
     unknown = sorted(set(config) - set(_LAYERED))
     if unknown:
@@ -245,8 +246,12 @@ def _resolve(args: argparse.Namespace, config: dict):
                          f"{', '.join(map(repr, unknown))}; "
                          f"a --config file may set only {', '.join(_LAYERED)}")
     given = vars(args)
+    given["origin"] = origin = {}
     for key, (suffix, cast, default) in _LAYERED.items():
-        if key not in given or given[key] is not None:  # not taken, or set by a flag
+        if key not in given:
+            continue
+        if given[key] is not None:
+            origin[key] = "--" + key.replace("_", "-")
             continue
         env = _ENV_PREFIX + suffix
         if key in config:
@@ -254,13 +259,13 @@ def _resolve(args: argparse.Namespace, config: dict):
         elif env in os.environ:
             val, source = os.environ[env], f"environment variable {env}"
         else:
-            given[key] = default
+            given[key], origin[key] = default, f"the default {key}"
             continue
         accepted, what = {str: ((str,), "a string"), int: ((str, int), "an integer"),
                           float: ((str, int, float), "a number")}[cast]
         try:
             if type(val) in accepted:
-                given[key] = cast(val)
+                given[key], origin[key] = cast(val), source
                 continue
         except (ValueError, OverflowError):  # OverflowError: float() of a huge int
             pass
@@ -397,6 +402,9 @@ def _score_binary(args: argparse.Namespace, inputs: _Inputs) -> dict:
 
 
 def cmd_score(args: argparse.Namespace, inputs: _Inputs) -> int:
+    if args.bootstrap and args.seed < 0:  # numpy seeds only from non-negative integers
+        raise ValueError(f"{args.origin['seed']} must be a non-negative integer with "
+                         f"--bootstrap, not {args.seed}")
     report = (_score_hier if args.task == "hier" else _score_binary)(args, inputs)
     report["scores_x100"] = {k: 100.0 * v for k, v in report["scores"].items()}
     if args.out:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 
@@ -75,15 +76,50 @@ def json_pieces(records: list) -> Iterator[str]:
     yield "\n"
 
 
+# A UTF-16 surrogate spelled as a JSON escape, in either case: what
+# ``json.loads`` turns into a str no UTF-8 writer can encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _lone_surrogate(value) -> str | None:
+    """The first surrogate code point in the strings (keys too) of the
+    parsed JSON ``value``, or None.  An escaped pair parses to one code
+    point, so only a lone surrogate is left."""
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            found = _SURROGATE.search(node)
+            if found:
+                return found.group()
+        elif isinstance(node, dict):
+            stack.extend(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    return None
+
+
 def read_json(data: str | bytes, what: str):
     """The JSON value in ``data``, bytes decoded strictly as UTF-8: the one
     reader of every JSON input.  Bad UTF-8, a ``json.JSONDecodeError`` (or
-    an integer too long to convert) and nesting too deep (``RecursionError``)
-    raise one CorpusError, ``"{what}: invalid JSON: ..."``."""
+    an integer too long to convert), nesting too deep (``RecursionError``)
+    and a string holding a lone surrogate escape, which no writer can
+    encode (RFC 8259 section 8.2), raise one CorpusError,
+    ``"{what}: invalid JSON: ..."``.  The parsed value is searched for a
+    lone surrogate only when ``data`` spells a surrogate escape."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        value = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: UnicodeDecodeError too
         raise CorpusError(f"{what}: invalid JSON: {exc}") from None
+    if _SURROGATE_ESCAPE.search(text):
+        lone = _lone_surrogate(value)
+        if lone is not None:
+            raise CorpusError(f"{what}: invalid JSON: string holds a lone surrogate "
+                              f"U+{ord(lone):04X}")
+    return value
 
 
 def _records(data: str | bytes, what: str) -> Iterator[tuple[int, str, dict]]:
@@ -157,10 +193,12 @@ def load_corpus(data: str | bytes, hierarchy: LabelHierarchy | None = None) -> l
 
     When a hierarchy is supplied, gold label sets are validated against it
     and inconsistent sets are closed upward with a logged warning.  Unknown
-    fields are ignored; ``lang`` is carried through.
+    fields are ignored; ``lang`` is carried through.  Equal gold sets come
+    back as one shared frozenset.
     """
     what = "corpus"
     out: list[MemeInstance] = []
+    shared: dict[frozenset[str], frozenset[str]] = {}
     for idx, iid, rec in _records(data, what):
         text_field = rec.get("text", "")
         if not isinstance(text_field, str):
@@ -200,6 +238,7 @@ def load_corpus(data: str | bytes, hierarchy: LabelHierarchy | None = None) -> l
                         added,
                     )
                     gold = closed
+            gold = shared.setdefault(gold, gold)
         out.append(
             MemeInstance(
                 id=iid,
@@ -272,15 +311,17 @@ def load_predictions(
     Dataset files whose records all carry ``labels`` parse here too, so
     gold can be read from either format.  Labels are validated against the
     hierarchy when one is given; sets are kept as written (scoring closes
-    them anyway).
+    them anyway).  Equal sets come back as one shared frozenset.
     """
     what = "predictions"
     out: dict[str, frozenset[str]] = {}
+    shared: dict[frozenset[str], frozenset[str]] = {}
     for idx, iid, rec in _records(data, what):
         labels = _label_list(rec, "labels", idx, what)
         if labels is None:
             raise CorpusError(f"{what}: record {idx} ({iid}): missing 'labels'")
         lset = frozenset(labels)
+        lset = shared.setdefault(lset, lset)
         if hierarchy is not None:
             try:
                 hierarchy.extend(lset)

@@ -982,7 +982,7 @@ def _finished_checkpoint(path, captions: dict) -> list[dict]:
     """Write a checkpoint in which each id of ``captions`` is finished: ok
     with its caption, or refused on both prompts where it maps to None.
     Returns the corpus of those ids."""
-    with open(path, "w", encoding="ascii") as fh:  # escapes, so a lone surrogate fits
+    with open(path, "w", encoding="utf-8") as fh:
         for iid, cap in captions.items():
             fh.write(json.dumps({"id": iid, "caption": cap, "source": "external-zero-shot",
                                  "status": "refused_both" if cap is None else "ok_prompt1",
@@ -1053,12 +1053,16 @@ def test_caption_streams_the_captions_file_instead_of_holding_it(tmp_path):
     assert with_captions - without < size / 4, (with_captions - without, size)
 
 
-def test_caption_output_that_cannot_be_encoded_leaves_no_file(tmp_path, capsys):
-    # The lone surrogate comes after more than one block of text, so the
-    # temp file already holds a block when the encoding fails.
+def test_caption_output_that_cannot_be_encoded_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # No reader lets a lone surrogate in, so one is put into the captions
+    # after the checkpoint is read.  It comes after more than one block of
+    # text, so the temp file already holds a block when the encoding fails.
     ck, caps = str(tmp_path / "ck.jsonl"), str(tmp_path / "captions.json")
     corpus = write(tmp_path / "c.json", json.dumps(_finished_checkpoint(
-        ck, {"a": "x" * (2 * cli._BLOCK), "b": "bad \ud800 caption"})))
+        ck, {"a": "x" * (2 * cli._BLOCK), "b": "fine"})))
+    real = cli.checkpoint_to_captions
+    monkeypatch.setattr(cli, "checkpoint_to_captions", lambda outcomes: {
+        **real(outcomes), "b": ("bad \ud800 caption", "external-zero-shot")})
     rc = main(["caption", "--corpus", corpus, "--out", ck, "--captions-out", caps],
               transport=ScriptedTransport())
     assert rc == 1
@@ -1462,6 +1466,76 @@ def test_deeply_nested_json_is_an_error_not_a_traceback(tmp_path, capsys, reader
     assert err.count("\n") == 1
     assert transport.requests == []
     assert sorted(os.listdir(tmp_path)) == ["c.json", "deep.json"]
+
+
+# A lone surrogate, spelled as a JSON escape, in a file no writer could
+# have written: each reader refuses it by name before any work.
+_CHECKPOINT_OK = ('{"id": "a", "caption": "fine", "source": "external-zero-shot", '
+                  '"status": "ok_prompt1", "attempts": 1, "model": "m"}\n')
+
+
+@pytest.mark.parametrize("case", ["checkpoint", "corpus-text"])
+def test_a_lone_surrogate_escape_is_refused_by_name(tmp_path, capsys, case):
+    out = str(tmp_path / "out.json")
+    if case == "checkpoint":
+        corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+        ck = write(tmp_path / "ck.jsonl", _CHECKPOINT_OK + _CHECKPOINT_OK.replace(
+            '"a"', '"b"').replace("fine", "bad \\ud800"))
+        argv = ["caption", "--corpus", corpus, "--out", ck, "--captions-out", out]
+        named, code = "checkpoint line 2", "U+D800"
+    else:
+        corpus = write(tmp_path / "c.json",
+                       '[{"id": "d1", "text": "bad \\uDBFF", "labels": ["Ethos"]}]')
+        argv = ["train", "--hierarchy", WORKED_H, "--corpus", corpus, "--out", out]
+        named, code = f"--corpus {corpus}: corpus", "U+DBFF"
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    transport = ScriptedTransport()
+    assert main(argv, transport=transport) == 1
+    assert capsys.readouterr().err == (
+        f"error: {named}: invalid JSON: string holds a lone surrogate {code}\n")
+    assert transport.requests == []
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+def test_validate_refuses_an_id_holding_a_lone_surrogate(tmp_path, capsys):
+    corpus = write(tmp_path / "c.json", '[{"id": "\\uDC00x", "text": "t", "labels": []}]')
+    rc = main(["validate", "--hierarchy", WORKED_H, "--corpus", corpus])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ("hierarchy: ok (3 labels, 2 leaves)\n"
+                            f"ERROR: corpus: --corpus {corpus}: corpus: invalid JSON: "
+                            "string holds a lone surrogate U+DC00\n")
+    assert captured.err == "validation failed with 1 error(s)\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
+@pytest.mark.parametrize("task", ["hier", "binary"])
+@pytest.mark.parametrize("flag,cfg,env,source", [
+    (["--seed", "-1"], None, None, "--seed"),
+    ([], {"seed": -2}, None, "--config {config}: config key 'seed'"),
+    ([], None, "-4", "environment variable PERSUASIONKIT_SEED"),
+], ids=["flag", "config", "env"])
+def test_a_negative_bootstrap_seed_is_refused_by_source(
+        tmp_path, capsys, monkeypatch, task, flag, cfg, env, source):
+    gold, pred = _boot_files(tmp_path) if task == "hier" else (BIN_GOLD, BIN_PRED)
+    if env is None:
+        monkeypatch.delenv("PERSUASIONKIT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PERSUASIONKIT_SEED", env)
+    config = write(tmp_path / "cfg.json", json.dumps(cfg or {}))
+    out = str(tmp_path / "r.json")
+    hier = ["--hierarchy", WORKED_H] if task == "hier" else []
+    rc = main(["--config", config, "score", "--task", task, *hier, "--gold", gold,
+               "--pred", pred, "--bootstrap", "5", *flag, "--out", out])
+    assert rc == 1
+    seed = flag[-1] if flag else cfg["seed"] if cfg else env
+    assert capsys.readouterr().err == (
+        f"error: {source.format(config=config)} must be a non-negative integer with "
+        f"--bootstrap, not {seed}\n")
+    assert not os.path.exists(out)
+    # Without --bootstrap the seed is unused, and a negative one scores.
+    assert main(["--config", config, "score", "--task", task, *hier, "--gold", gold,
+                 "--pred", pred, *flag, "--out", out]) == 0
 
 
 @pytest.mark.parametrize("cfg,env,message", [

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from persuasionkit.corpus import (
     CorpusError,
@@ -15,12 +16,14 @@ from persuasionkit.corpus import (
     load_predictions,
     merge_captions,
     read_int,
+    read_json,
     read_number,
     write_binary_predictions,
     write_captions,
     write_predictions,
 )
 from persuasionkit.hierarchy import parse_hierarchy
+
 
 @pytest.mark.parametrize("text", ["true", "false", "null", '"7"', "1.9", "1.0", "[1]", "{}"])
 def test_read_int_takes_json_integers_only(text):
@@ -168,6 +171,67 @@ def test_predictions_round_trip():
         load_predictions(json.dumps([{"id": "a"}]))
     with pytest.raises(CorpusError, match="record 0"):
         load_predictions(json.dumps([{"id": "a", "labels": ["Nope"]}]), hierarchy=h)
+
+
+LABELS = ("Ethos", "NameCalling", "Pathos")
+
+
+def _labeled_records(label_lists) -> str:
+    return json.dumps([{"id": f"m{i}", "text": "t", "labels": labels}
+                       for i, labels in enumerate(label_lists)])
+
+
+def _one_object_per_set(sets) -> bool:
+    return len({id(s) for s in sets}) == len(set(sets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_lists=st.lists(st.lists(st.sampled_from(LABELS), max_size=5), max_size=40),
+       with_hierarchy=st.booleans())
+def test_readers_hold_each_distinct_label_set_once(label_lists, with_hierarchy):
+    # Lists repeat, reorder and duplicate labels; equal sets, as written
+    # or as closed, come back as one object.
+    h = parse_hierarchy(WORKED) if with_hierarchy else None
+    text = _labeled_records(label_lists)
+    written = [frozenset(labels) for labels in label_lists]
+    preds = list(load_predictions(text, hierarchy=h).values())
+    golds = [inst.gold for inst in load_corpus(text, hierarchy=h)]
+    assert preds == written
+    assert golds == [h.extend(s) if h else s for s in written]
+    assert _one_object_per_set(preds) and _one_object_per_set(golds)
+
+
+def test_5000_records_over_k_label_sets_hold_k_set_objects():
+    rng = random.Random(4)
+    subsets = [[lab for j, lab in enumerate(LABELS) if mask >> j & 1] for mask in range(8)]
+    label_lists = [rng.sample(s, len(s)) for s in rng.choices(subsets, k=5000)]
+    text = _labeled_records(label_lists)
+    h = parse_hierarchy(WORKED)
+    for hierarchy, k_written, k_closed in ((None, 8, 8), (h, 8, 6)):
+        preds = load_predictions(text, hierarchy=hierarchy)
+        golds = [inst.gold for inst in load_corpus(text, hierarchy=hierarchy)]
+        assert len({id(s) for s in preds.values()}) == k_written
+        assert len({id(s) for s in golds}) == k_closed
+
+
+@pytest.mark.parametrize("text,code", [
+    ('["\\ud800"]', "D800"),
+    ('{"\\uDFFFx": 1}', "DFFF"),
+    ('[["ok", "a\\uDc00b"]]', "DC00"),
+    ('"\\ude00\\ud83d"', "DE00"),  # a pair the wrong way round
+    ('{"k": [1, {"id": "\\ud83d"}]}', "D83D"),
+])
+def test_read_json_refuses_a_lone_surrogate_escape(text, code):
+    for data in (text, text.encode("utf-8")):
+        with pytest.raises(CorpusError, match=(
+                f"^corpus: invalid JSON: string holds a lone surrogate U\\+{code}$")):
+            read_json(data, "corpus")
+
+
+def test_read_json_takes_a_surrogate_pair_and_an_escaped_backslash():
+    text = '["\\ud83d\\ude00", "\\\\ud800", "\\u00e9"]'
+    want = ["\U0001f600", "\\ud800", "é"]
+    assert read_json(text, "x") == read_json(text.encode("utf-8"), "x") == want
 
 
 def test_dataset_file_parses_as_gold():

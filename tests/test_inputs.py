@@ -1,10 +1,11 @@
 """Every file every command reads: read once, hashed as parsed, and refused
 by name when it cannot be decoded or parsed.
 
-The fuzz turns one node of a valid input into another JSON type or into
-nesting too deep to parse, or inserts a 0xff byte, and runs the command
-through ``cli.main``.  The command either works or exits 1 with one
-``error:`` line naming the file, and then leaves no output behind.
+The fuzz turns one node of a valid input into another JSON type, into
+nesting too deep to parse or into a string holding a lone surrogate escape,
+or inserts a 0xff byte, and runs the command through ``cli.main``.  The
+command either works or exits 1 with one ``error:`` line naming the file,
+and then leaves no output behind.
 """
 
 import builtins
@@ -13,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -25,6 +27,7 @@ from mocks import ScriptedTransport
 
 DEEP = "[" * 100_000 + "]" * 100_000
 _DEEP_MARK = "\x00deep\x00"
+_LONE_MARK = "\x00lone\x00"
 
 # Values of each type the JSON parser gives, by type; "another JSON type"
 # means another of these, so an integer and a float differ.
@@ -52,9 +55,10 @@ def _replaced(doc, path, value):
 
 @st.composite
 def corrupted_json(draw, data: bytes) -> bytes:
-    """``data`` with one node turned into a value of another JSON type or
-    into deep nesting, or with a 0xff byte inserted."""
-    kind = draw(st.sampled_from(["node", "deep", "byte"]))
+    """``data`` with one node turned into a value of another JSON type,
+    into deep nesting or into a string holding a lone surrogate escape (in
+    either case), or with a 0xff byte inserted."""
+    kind = draw(st.sampled_from(["node", "deep", "lone", "byte"]))
     if kind == "byte":
         at = draw(st.integers(0, len(data)))
         return data[:at] + b"\xff" + data[at:]
@@ -63,9 +67,15 @@ def corrupted_json(draw, data: bytes) -> bytes:
     old = doc
     for key in path:
         old = old[key]
-    new = _DEEP_MARK if kind == "deep" else draw(draw(st.sampled_from(
-        [values for t, values in _VALUES.items() if t is not type(old)])))
+    if kind == "node":
+        new = draw(draw(st.sampled_from(
+            [values for t, values in _VALUES.items() if t is not type(old)])))
+    else:
+        new = {"deep": _DEEP_MARK, "lone": _LONE_MARK}[kind]
     text = json.dumps(_replaced(doc, path, new), ensure_ascii=False)
+    if kind == "lone":
+        escape = format(draw(st.integers(0xD800, 0xDFFF)), draw(st.sampled_from(["04x", "04X"])))
+        text = text.replace(json.dumps(_LONE_MARK), f'"lone \\u{escape}"')
     return text.replace(json.dumps(_DEEP_MARK), DEEP).encode("utf-8")
 
 
@@ -145,6 +155,16 @@ def _holds_save_model_types(doc) -> bool:
     ))
 
 
+def _holds_a_surrogate(data: bytes, form: str) -> bool:
+    """Whether a string of the JSON or JSONL ``data`` parses to one holding
+    a surrogate, which no writer can encode."""
+    if form == "text":
+        return False
+    docs = [data] if form == "json" else [line for line in data.splitlines() if line.strip()]
+    return any(re.search(r"[\ud800-\udfff]", json.dumps(json.loads(doc), ensure_ascii=False))
+               for doc in docs)
+
+
 @pytest.mark.parametrize("command,key,form", CASES, ids=[f"{c}-{k}" for c, k, _ in CASES])
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -156,6 +176,7 @@ def test_a_corrupted_input_works_or_is_refused_by_name(command, key, form, data)
         rc, err = _run(command_line(command, paths))
         assert rc in (0, 1, 2, 3), err
         if rc == 0:
+            assert not _holds_a_surrogate(bad, form)
             if key == "model":
                 assert _holds_save_model_types(json.loads(bad))
             return
