@@ -15,6 +15,7 @@ and scoring runs on plain arrays.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import math
@@ -22,9 +23,9 @@ import os
 import signal
 import threading
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -245,36 +246,63 @@ class HierModel:
         return W
 
 
-def _gradient(
-    X: "sparse.csr_array | np.ndarray",
-    Y: np.ndarray,
-    W: np.ndarray,
-    B: np.ndarray,
-    l2: float,
-    forward: "sparse.csc_array | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(dloss/dW, dloss/dB)`` of :func:`loss_and_grad`'s objective for
-    the heads in the columns of ``Y``, ``W`` and ``B``.
+def _errors(X: "sparse.sparray | np.ndarray", Y: np.ndarray, W: np.ndarray,
+            B: np.ndarray) -> np.ndarray:
+    """``(expit(X @ W + B) - Y) / n``, with ``n`` the rows of ``X``: the
+    derivative of the mean loss by each instance's logit, per head.
 
-    The forward product is ``forward @ W``, with ``forward`` a CSC copy of
-    a CSR ``X`` (``X`` itself when None).  The CSC product scatters each
-    column's terms into the row sums, so each sum still starts at +0.0
-    and adds its terms in ascending column order, as the CSR product
-    does: the two are equal bit for bit.  ``X.T`` is a CSC view sharing
-    ``X``'s arrays; each column of ``X.T @ E``, and of the bias gradient,
-    adds its terms in ascending instance order at any number of heads.
+    Each sum of ``X @ W`` starts at +0.0 and adds its terms in ascending
+    column order, whether ``X`` is CSR (a gather along each row) or CSC
+    (a scatter of each column into the rows' sums): the two are equal bit
+    for bit.
     """
-    import numpy as np
     from scipy.special import expit
 
-    E = (X if forward is None else forward) @ W
+    E = X @ W
     E += B
     expit(E, out=E)
     E -= Y
     E /= X.shape[0]
-    G = X.T @ E
+    return E
+
+
+def _weight_gradient(XT: "sparse.sparray | np.ndarray", E: np.ndarray, W: np.ndarray,
+                     l2: float) -> np.ndarray:
+    """``XT @ E + l2 * W``, with ``XT`` the transposed design matrix, or a
+    range of its rows, and ``W`` their weights.  Each sum starts at +0.0
+    and adds its terms in ascending instance order at any number of heads,
+    whether ``XT`` is the CSC view of a CSR matrix (a scatter) or the CSR
+    view of a CSC one (a gather)."""
+    G = XT @ E
     G += l2 * W
-    return G, np.cumsum(E, axis=0, out=E)[-1]
+    return G
+
+
+def _column_sums(E: np.ndarray) -> np.ndarray:
+    """Each column's sum of ``E``, added in ascending row order at any
+    number of columns; overwrites ``E``."""
+    import numpy as np
+
+    return np.cumsum(E, axis=0, out=E)[-1]
+
+
+def _gradient(
+    X: "sparse.sparray | np.ndarray",
+    Y: np.ndarray,
+    W: np.ndarray,
+    B: np.ndarray,
+    l2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dloss/dW, dloss/dB)`` of :func:`loss_and_grad`'s objective for
+    the heads in the columns of ``Y``, ``W`` and ``B``.
+
+    It is :func:`_errors`, :func:`_weight_gradient` of ``X.T`` and
+    :func:`_column_sums`, the three steps ``train`` takes on its CSC
+    matrix, so each column is the trainer's gradient of that head bit for
+    bit, whatever ``X``'s sparse format.
+    """
+    E = _errors(X, Y, W, B)
+    return _weight_gradient(X.T, E, W, l2), _column_sums(E)
 
 
 def loss_and_grad(
@@ -359,8 +387,10 @@ def _design(
     """
     import numpy as np
 
-    # Flat typed buffers rather than one Python object per non-zero.
-    cols, vals, ends = array("q"), array("d"), array("q", [0])
+    # Flat typed buffers rather than one Python object per non-zero; the
+    # bucket indices take 4 bytes each when every bucket fits.
+    small = cfg.dimension <= 2**31
+    cols, vals, ends = array("i" if small else "q"), array("d"), array("q", [0])
     for inst in instances:
         # Through the module name, which a tracer may wrap.
         vec = featurize(inst.text, inst.caption, cfg)
@@ -370,7 +400,9 @@ def _design(
     data = np.frombuffer(vals, dtype=np.float64)
     indptr = np.frombuffer(ends, dtype=np.int64)
     index = np.int32 if max(len(cols), 0 if rows is None else rows.size) < 2**31 else np.int64
-    rows, pos = _renumber(np.frombuffer(cols, dtype=np.int64), cfg.dimension, rows, index)
+    rows, pos = _renumber(np.frombuffer(cols, dtype=np.intc if small else np.int64),
+                          cfg.dimension, rows, index)
+    del cols
     keep = pos >= 0
     if not keep.all():
         data, pos = data[keep], pos[keep]
@@ -443,39 +475,70 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _descend(
-    Xu: "sparse.csr_array",
+def _row_ranges(X: "sparse.csr_array", parts: int) -> list[tuple[slice, "sparse.csr_array"]]:
+    """``X`` cut into ``parts`` ranges of rows with about equal non-zeros,
+    as ``(rows, X[rows])`` pairs; each ``X[rows]`` is a CSR array over
+    ``X``'s own data and indices, not a copy of them.  A range may be
+    empty."""
+    import numpy as np
+    from scipy import sparse
+
+    cuts = np.searchsorted(X.indptr, np.arange(1, parts) * X.nnz // parts)
+    bounds = [0, *cuts.tolist(), X.shape[0]]
+    ranges = []
+    for a, b in zip(bounds, bounds[1:]):
+        start, stop = X.indptr[a], X.indptr[b]
+        # Set in place: scipy's slicing, and its constructor for a slice
+        # under half of its base, copy the arrays.
+        part = sparse.csr_array((b - a, X.shape[1]), dtype=X.dtype)
+        part.indptr = X.indptr[a : b + 1] - start
+        part.indices, part.data = X.indices[start:stop], X.data[start:stop]
+        ranges.append((slice(a, b), part))
+    return ranges
+
+
+def _epoch(
     Xc: "sparse.csc_array",
+    heads: slice,
+    rows: slice,
+    XTr: "sparse.csr_array",
     Y: np.ndarray,
-    heads: np.ndarray,
     W: np.ndarray,
     B: np.ndarray,
+    E: np.ndarray,
     tcfg: TrainConfig,
-    stop: threading.Event,
+    barrier: threading.Barrier,
 ):
-    """Every epoch of descent for the heads ``heads``, written into
-    ``W[:, heads]`` and ``B[heads]``, with ``Xc`` the CSC copy of ``Xu``
-    for the forward product; returns early, writing nothing, once
-    ``stop`` is set."""
-    import numpy as np
+    """One epoch of one descent thread, in two halves that every thread
+    runs together.
 
-    Yg = Y[:, heads]
-    Wg = np.zeros((Xu.shape[1], heads.size), dtype=np.float64)
-    Bg = np.zeros(heads.size, dtype=np.float64)
-    for _ in range(tcfg.epochs):
-        if stop.is_set():
-            return
-        gW, gB = _gradient(Xu, Yg, Wg, Bg, tcfg.l2, Xc)
-        Wg -= tcfg.learning_rate * gW
-        Bg -= tcfg.learning_rate * gB
-    W[:, heads] = Wg
-    B[heads] = Bg
+    First the forward product ``Xc @ W[:, heads]``: the thread writes its
+    heads' columns of ``E`` and steps their biases.  Once every thread
+    has, the backward product ``XTr @ E``, with ``XTr`` the rows ``rows``
+    of ``Xc.T``, for every head at once: the thread steps those weight
+    rows.  No thread starts the next epoch's forward product before every
+    weight row has stepped.
+    """
+    Eg = _errors(Xc, Y[:, heads], W[:, heads], B[heads])
+    E[:, heads] = Eg
+    B[heads] -= tcfg.learning_rate * _column_sums(Eg)
+    barrier.wait()
+    W[rows] -= tcfg.learning_rate * _weight_gradient(XTr, E, W[rows], tcfg.l2)
+    barrier.wait()
+
+
+def _descend(epochs: int, *args):
+    """``epochs`` calls of :func:`_epoch` with ``args``; returns early once
+    their barrier is aborted."""
+    with suppress(threading.BrokenBarrierError):
+        for _ in range(epochs):
+            _epoch(*args)
 
 
 @contextmanager
-def _interrupt_sets(stop: threading.Event):
-    """Within the block, Ctrl-C sets ``stop`` instead of raising, and
-    KeyboardInterrupt is raised once the block is done.
+def _interrupt_sets(stop: Callable[[], object]):
+    """Within the block, Ctrl-C calls ``stop()`` (once) instead of raising,
+    and KeyboardInterrupt is raised once the block is done.
 
     Python runs signal handlers in the main thread, whichever thread got
     the signal, so no KeyboardInterrupt can land while the block starts
@@ -490,7 +553,9 @@ def _interrupt_sets(stop: threading.Event):
 
     def on_sigint(signum, frame):
         interrupted.append(signum)
-        stop.set()
+        # A second Ctrl-C may land inside the first one's stop().
+        if len(interrupted) == 1:
+            stop()
 
     signal.signal(signal.SIGINT, on_sigint)
     try:
@@ -515,13 +580,16 @@ def train(
     warning.  Thresholds start at 0.5.  The model holds one weight row per
     bucket some training document uses.
 
-    The heads descend in groups, one thread per group and at most one per
-    CPU.  ``_gradient`` computes each head's gradient the same way at any
-    group width, so the model is the same bit for bit at any thread count.
-    An error in one group, or an interrupt while the groups descend, stops
-    the others at their next epoch, and the call waits for them to stop.
-    In the main thread, Ctrl-C only sets that stop, and ``train`` raises
-    KeyboardInterrupt once every group has stopped.
+    Descent holds the design matrix once, column-major.  It runs on one
+    thread per CPU, at most one per trainable head, and each epoch in two
+    halves (see :func:`_epoch`): each thread takes the forward product
+    for a group of heads, then the backward product for a range of weight
+    rows.  Each weight and bias adds its terms in the same order at any
+    thread count, so the model is the same bit for bit.  An error in one
+    thread, or an interrupt while they descend, stops the others at their
+    next half, and the call waits for them to stop.  In the main thread,
+    Ctrl-C only sets that stop, and ``train`` raises KeyboardInterrupt
+    once every thread has stopped.
     """
     import numpy as np
     from scipy import sparse
@@ -532,8 +600,7 @@ def train(
     labels = h.labels
     # A column no document touches starts at 0 and the L2 update keeps it
     # there, so the model is exact on the used columns alone.
-    used, data, pos, indptr = _design(corpus, fcfg)
-    Xu = sparse.csr_array((data, pos, indptr), shape=(len(corpus), used.size))
+    used, *design = _design(corpus, fcfg)
 
     positives = Y.sum(axis=0)
     trainable = positives > 0
@@ -541,26 +608,35 @@ def train(
         if not ok:
             logger.warning("label %r has no positive examples; head is always-negative", lab)
 
-    B = np.zeros(len(labels), dtype=np.float64)
-    B[~trainable] = _NEGATIVE_BIAS
-
-    W = np.zeros((used.size, len(labels)), dtype=np.float64)
+    # Descent runs on the trainable heads alone.
     active = np.flatnonzero(trainable)
+    Wa = np.zeros((used.size, active.size), dtype=np.float64)
+    Ba = np.zeros(active.size, dtype=np.float64)
     if active.size:
-        # One column-major copy, shared by every group, for the forward
-        # products.
-        Xc = Xu.tocsc()
-        groups = np.array_split(active, min(_cpu_count(), active.size))
-        stop = threading.Event()
-        with _interrupt_sets(stop), \
-                ThreadPoolExecutor(len(groups), thread_name_prefix="descent") as pool:
+        Xc = sparse.csr_array(tuple(design), shape=(len(corpus), used.size)).tocsc()
+        del design
+        threads = min(_cpu_count(), active.size)
+        heads = [slice(g[0], g[-1] + 1)
+                 for g in np.array_split(np.arange(active.size), threads)]
+        Ya = Y[:, active]
+        E = np.zeros((len(corpus), active.size), dtype=np.float64)
+        barrier = threading.Barrier(threads)
+        with _interrupt_sets(barrier.abort), \
+                ThreadPoolExecutor(threads, thread_name_prefix="descent") as pool:
             try:
-                jobs = [pool.submit(_descend, Xu, Xc, Y, heads, W, B, tcfg, stop)
-                        for heads in groups]
+                jobs = [pool.submit(_descend, tcfg.epochs, Xc, group, rows, XTr,
+                                    Ya, Wa, Ba, E, tcfg, barrier)
+                        for group, (rows, XTr) in zip(heads, _row_ranges(Xc.T, threads))]
                 for job in as_completed(jobs):
                     job.result()
-            finally:
-                stop.set()
+            except BaseException:
+                barrier.abort()
+                raise
+
+    W = np.zeros((used.size, len(labels)), dtype=np.float64)
+    W[:, active] = Wa
+    B = np.full(len(labels), _NEGATIVE_BIAS, dtype=np.float64)
+    B[active] = Ba
 
     return HierModel(
         labels=labels,
@@ -704,12 +780,22 @@ def tune_thresholds(
 
 # -- serialization -----------------------------------------------------------
 
+def _canonical(value) -> str:
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
 def save_model(model: HierModel) -> bytes:
-    """Canonical JSON bytes; float values round-trip exactly."""
+    """Canonical JSON bytes; float values round-trip exactly.
+
+    The bytes are ``_canonical(payload) + "\\n"``, UTF-8 encoded.  The
+    weights' key sorts last, so the rest of the payload is encoded first
+    and the weight rows after it, ``_SCORE_BLOCK`` at a time: the file is
+    held whole only once, as the bytes returned.
+    """
     import numpy as np
 
     nz = np.flatnonzero(np.any(model.row_weights != 0.0, axis=1))
-    payload = {
+    head = {
         "kind": _MODEL_KIND,
         "format_version": _FORMAT_VERSION,
         "labels": list(model.labels),
@@ -724,10 +810,17 @@ def save_model(model: HierModel) -> bytes:
         "bias": [float(v) for v in model.bias],
         "thresholds": [float(v) for v in model.thresholds],
         "weight_rows": model.weight_rows[nz].tolist(),
-        "weights": model.row_weights[nz].tolist(),
     }
-    return (json.dumps(payload, ensure_ascii=False, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("utf-8")
+    out = io.BytesIO()
+    out.write(_canonical(head)[:-1].encode("utf-8"))
+    out.write(b',"weights":[')
+    for start in range(0, nz.size, _SCORE_BLOCK):
+        if start:
+            out.write(b",")
+        block = model.row_weights[nz[start : start + _SCORE_BLOCK]].tolist()
+        out.write(_canonical(block)[1:-1].encode("utf-8"))
+    out.write(b"]}\n")
+    return out.getvalue()
 
 
 _MODEL_KEYS = ("labels", "feature_config", "hierarchy_fingerprint", "seed",

@@ -600,7 +600,7 @@ def caption_corpus(
         workers = min(concurrency, len(todo))
         if workers:
             queue = iter(todo)
-            with _interrupt_sets(stop), ThreadPoolExecutor(max_workers=workers) as pool:
+            with _interrupt_sets(stop.set), ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
                     for job in as_completed([pool.submit(work, queue) for _ in range(workers)]):
                         job.result()

@@ -402,6 +402,11 @@ def _score_binary(args: argparse.Namespace, inputs: _Inputs) -> dict:
 
 
 def cmd_score(args: argparse.Namespace, inputs: _Inputs) -> int:
+    if args.bootstrap < 0:
+        raise ValueError(f"--bootstrap must be a number of resamples >= 0 (0 = off), "
+                         f"not {args.bootstrap}")
+    if args.bootstrap and not 0.0 < args.confidence < 1.0:
+        raise ValueError(f"--confidence must be in (0, 1), not {args.confidence}")
     if args.bootstrap and args.seed < 0:  # numpy seeds only from non-negative integers
         raise ValueError(f"{args.origin['seed']} must be a non-negative integer with "
                          f"--bootstrap, not {args.seed}")

@@ -225,7 +225,8 @@ def load_corpus(data: str | bytes, hierarchy: LabelHierarchy | None = None) -> l
             gold = frozenset(labels)
             if hierarchy is not None:
                 try:
-                    closed = hierarchy.extend(gold)
+                    # The list, so an error names its first bad label in file order.
+                    closed = hierarchy.extend(labels)
                 except Exception as exc:
                     raise CorpusError(f"{what}: record {idx} ({iid}): {exc}") from None
                 if closed != gold:
@@ -324,7 +325,7 @@ def load_predictions(
         lset = shared.setdefault(lset, lset)
         if hierarchy is not None:
             try:
-                hierarchy.extend(lset)
+                hierarchy.extend(labels)  # the list: see load_corpus
             except Exception as exc:
                 raise CorpusError(f"{what}: record {idx} ({iid}): {exc}") from None
         out[iid] = lset

@@ -257,6 +257,33 @@ def design_matrix(instances, cfg):
     )
 
 
+def reference_save_model(model) -> bytes:
+    """The model file in one piece: the whole payload through one
+    ``json.dumps``, then a newline, encoded as UTF-8."""
+    import json
+
+    nz = np.flatnonzero(np.any(model.row_weights != 0.0, axis=1))
+    payload = {
+        "kind": "persuasionkit-linear-hier",
+        "format_version": 1,
+        "labels": list(model.labels),
+        "feature_config": {
+            "dimension": model.feature_config.dimension,
+            "word_orders": [1, 2],
+            "char_orders": [3, 4, 5],
+            "mode": model.feature_config.mode,
+        },
+        "hierarchy_fingerprint": model.hierarchy_fingerprint,
+        "seed": model.seed,
+        "bias": [float(v) for v in model.bias],
+        "thresholds": [float(v) for v in model.thresholds],
+        "weight_rows": model.weight_rows[nz].tolist(),
+        "weights": model.row_weights[nz].tolist(),
+    }
+    return (json.dumps(payload, ensure_ascii=False, sort_keys=True,
+                       separators=(",", ":")) + "\n").encode("utf-8")
+
+
 # -- features and scores -------------------------------------------------------
 
 def _reference_hash_feature(feature: str, dim: int) -> tuple[int, float]:

@@ -2,9 +2,11 @@ import hashlib
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -42,6 +44,7 @@ from oracles import (
     reference_featurize,
     reference_gradient,
     reference_instance_scores,
+    reference_save_model,
     reference_scores,
     reference_tune_thresholds,
 )
@@ -240,16 +243,14 @@ def _forward_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_forward_cases())
 def test_gradient_through_the_column_major_copy_is_bit_identical(case):
-    # train's forward product comes from a CSC copy; the gradient must be
-    # the row-major-only one bit for bit, signed zeros included.
+    # train descends over a CSC copy alone, forward and backward; the
+    # gradient must be the row-major one bit for bit, signed zeros included.
     X, Y, W, B, l2 = case
     E = (expit(X @ W + B) - Y) / X.shape[0]
     want = (X.T @ E + l2 * W, np.cumsum(E, axis=0)[-1])
-    got = baseline._gradient(X, Y, W, B, l2, X.tocsc())
-    for a, b in zip(got, want):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    for a, b in zip(baseline._gradient(X, Y, W, B, l2), want):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for matrix in (X.tocsc(), X):
+        for a, b in zip(baseline._gradient(matrix, Y, W, B, l2), want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _bits(a) -> np.ndarray:
@@ -275,14 +276,13 @@ def test_descent_arithmetic_equals_the_plain_python_reference(k):
         l2 = float(rng.choice((0.0, 1e-4, 0.1)))
         Xs = sparse.csr_array(X)
         want = reference_gradient(Xs, Y, W, B, l2)
-        for forward in (None, Xs.tocsc()):
+        for matrix in (Xs.tocsc(), Xs):
             # The forward product as _gradient takes it, then its result.
-            got = ((Xs if forward is None else forward) @ W,
-                   *baseline._gradient(Xs, Y, W, B, l2, forward))
+            got = (matrix @ W, *baseline._gradient(matrix, Y, W, B, l2))
             differ = [name for name, a, b in zip(("forward", "backward", "bias"), got, want)
                       if not np.array_equal(_bits(a), _bits(b))]
             assert not differ, (f"descent's {', '.join(differ)} sum differs from the "
-                                f"plain-Python reference (csc copy: {forward is not None})")
+                                f"plain-Python reference ({matrix.format})")
         by_instance = reference_gradient(sparse.csr_array(X[::-1]), Y[::-1], W, B, l2)
         by_column = reference_gradient(sparse.csr_array(X[:, ::-1]), Y, W[::-1], B, l2)
         sensitive += not (np.array_equal(_bits(by_instance[1]), _bits(want[1]))
@@ -335,11 +335,12 @@ def test_renumbering_keeps_every_used_column(case, entries):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.text(max_size=30), max_size=7), st.sampled_from((2**4, 2**10, 2**24)),
-       st.booleans())
+@given(st.lists(st.text(max_size=30), max_size=7),
+       st.sampled_from((2**4, 2**10, 2**24, 2**31, 2**40)), st.booleans())
 def test_design_rows_are_featurize_renumbered_and_sorted(texts, dimension, restrict):
     # Row i holds featurize's buckets that are among the rows, ascending,
     # with featurize's values; blocks of 3 documents cover block edges.
+    # Buckets are collected in 4 bytes up to 2**31 and in 8 above it.
     cfg = FeatureConfig(dimension=dimension)
     vecs = [featurize(t, None, cfg) for t in texts]
     used = sorted(set().union(*vecs))
@@ -531,19 +532,75 @@ def test_a_model_with_one_trainable_head_has_pinned_bytes():
         "760c247053627ed6be75b8704a4e97dae24cc5025a62f16fb0eb0517cc8ffe69")
 
 
+def test_more_threads_than_used_columns_match_the_reference():
+    # Documents of one short word use two columns between them, so most
+    # threads' ranges of weight rows are empty.
+    labels = sorted(SUBTASK2A.non_root_labels())
+    corpus = [doc(f"d{i}", ("a", "of", "")[i % 3],
+                  {labels[i % len(labels)], labels[(5 * i) % len(labels)]})
+              for i in range(2 * len(labels))]
+    fcfg, tcfg = FeatureConfig(dimension=2**10), TrainConfig(epochs=20)
+    Y = SUBTASK2A.closed_rows(d.gold for d in corpus).astype(np.float64)
+    W, B = dense_descent(design_matrix(corpus, fcfg), Y,
+                         tcfg.epochs, tcfg.learning_rate, tcfg.l2)
+    for workers in (3, 64):
+        with mock.patch.object(baseline, "_cpu_count", return_value=workers):
+            model = train(corpus, SUBTASK2A, fcfg, tcfg)
+        assert model.weight_rows.size == 2 < workers
+        assert np.array_equal(model.weights, W), workers
+        assert np.array_equal(model.bias, B), workers
+
+
+def test_descent_holds_one_copy_of_the_design():
+    # At the first epoch, traced memory above its level before _design is
+    # below 1.5x the column-major matrix's bytes: the row-major arrays are
+    # gone, and no thread's range of rows is a copy.
+    rng = random.Random(3)
+    words = [f"w{k}" for k in range(300)]
+    corpus = [doc(f"d{i}", " ".join(rng.choice(words) for _ in range(60)),
+                  {("Pathos", "NameCalling", "Ethos")[i % 3]}) for i in range(400)]
+    fcfg = FeatureConfig(dimension=2**16)
+    baseline._design(corpus, fcfg)  # fills the hash memo before tracing
+    design, epoch, seen = baseline._design, baseline._epoch, {}
+    lock = threading.Lock()
+
+    def traced_design(*args):
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        return design(*args)
+
+    def first_epoch(*args):
+        with lock:
+            if "epoch" not in seen:
+                Xc = args[0]
+                seen["epoch"] = tracemalloc.get_traced_memory()[0]
+                seen["Xc"] = Xc.data.nbytes + Xc.indices.nbytes + Xc.indptr.nbytes
+        return epoch(*args)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(baseline, "_cpu_count", return_value=4), \
+                mock.patch.object(baseline, "_design", traced_design), \
+                mock.patch.object(baseline, "_epoch", first_epoch):
+            train(corpus, H, fcfg, TrainConfig(epochs=2))
+    finally:
+        tracemalloc.stop()
+    assert seen["Xc"] > 2**21
+    assert seen["epoch"] - seen["before"] < 1.5 * seen["Xc"], seen
+
+
 def test_a_failing_head_group_stops_the_others():
     corpus = [doc(f"d{i}", f"{WORDS[i % 8]} {WORDS[i % 5]}", {lab})
               for i, lab in enumerate(sorted(SUBTASK2A.non_root_labels())[:8])]
-    gradient, calls = baseline._gradient, []
+    epoch, calls = baseline._epoch, []
 
     def failing(*args):
         calls.append(None)
         if len(calls) == 5:
             raise RuntimeError("descent failed")
-        return gradient(*args)
+        return epoch(*args)
 
     with mock.patch.object(baseline, "_cpu_count", return_value=4), \
-            mock.patch.object(baseline, "_gradient", failing):
+            mock.patch.object(baseline, "_epoch", failing):
         with pytest.raises(RuntimeError, match="descent failed"):
             train(corpus, SUBTASK2A, FeatureConfig(dimension=2**10), TrainConfig(epochs=10**5))
     # The other groups stopped at their next epoch, and none outlived train.
@@ -833,6 +890,57 @@ def test_save_load_round_trip_exact():
     assert save_model(back) == blob
     # loaded model predicts identically
     assert predict_corpus(back, H, MEMORIZE) == predict_corpus(tuned, H, MEMORIZE)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.0)
+
+
+@st.composite
+def _models(draw):
+    n_labels = draw(st.integers(1, 4))
+    labels = tuple(draw(st.lists(st.text(min_size=1, max_size=5), min_size=n_labels,
+                                 max_size=n_labels, unique=True)))
+    dimension = 2 ** draw(st.integers(0, 62))
+    rows = sorted(draw(st.lists(st.integers(0, dimension - 1), max_size=7, unique=True)))
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+    weights = draw(st.lists(st.lists(number, min_size=n_labels, max_size=n_labels),
+                            min_size=len(rows), max_size=len(rows)))
+    threshold = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return HierModel(
+        labels=labels,
+        feature_config=FeatureConfig(dimension, draw(st.sampled_from((MODE_TEXT,
+                                                                      MODE_TEXT_CAPTION)))),
+        hierarchy_fingerprint=draw(st.text(max_size=8)),
+        seed=draw(st.integers(-2**70, 2**70)),
+        weight_rows=np.array(rows, dtype=np.int64),
+        row_weights=np.array(weights, dtype=np.float64).reshape(len(rows), n_labels),
+        bias=np.array(draw(st.lists(number, min_size=n_labels, max_size=n_labels))),
+        thresholds=np.array(draw(st.lists(threshold, min_size=n_labels, max_size=n_labels))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models(), st.sampled_from((1, 2, 3, 1024)))
+@example(HierModel(labels=("Éthos", "名前"), feature_config=FeatureConfig(2**62),
+                   hierarchy_fingerprint="", seed=0,
+                   weight_rows=np.zeros(0, dtype=np.int64), row_weights=np.zeros((0, 2)),
+                   bias=np.array([-0.0, 1e308]), thresholds=np.array([5e-324, 0.5])), 2)
+def test_model_file_round_trips_byte_for_byte(model, block):
+    # save_model encodes the weight rows a block at a time; the block
+    # size cannot change a byte.
+    with mock.patch.object(baseline, "_SCORE_BLOCK", block):
+        blob = save_model(model)
+        assert blob == reference_save_model(model)
+        back = load_model(blob)
+        assert save_model(back) == blob
+    # save_model leaves out the rows whose weights are all zero.
+    kept = np.any(model.row_weights != 0.0, axis=1)
+    assert back == model
+    assert np.array_equal(back.weight_rows, model.weight_rows[kept])
+    for got, want in ((back.row_weights, model.row_weights[kept]), (back.bias, model.bias),
+                      (back.thresholds, model.thresholds)):
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_load_rejects_foreign_files():

@@ -100,6 +100,32 @@ def test_validate_rejects_bad_hierarchies(name, capsys):
     assert "ERROR: hierarchy:" in capsys.readouterr().out
 
 
+def test_validate_names_the_first_unknown_label_in_file_order(tmp_path):
+    # Under two string-hash seeds, so that an error naming a label in set
+    # order would differ between the runs (or name another label).
+    labels = ["Ethos", "Zeta", "Alpha", "Mu", "Omega", "Beta", "Kappa", "Rho"]
+    corpus = write(tmp_path / "c.json", json.dumps(
+        [{"id": "m1", "text": "t", "labels": ["Ethos"]},
+         {"id": "m2", "text": "t", "labels": labels}]))
+    preds = write(tmp_path / "p.json", json.dumps([{"id": "m2", "labels": labels}]))
+    src = os.path.join(HERE, "..", "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "persuasionkit", "validate", "--hierarchy", WORKED_H,
+             "--corpus", corpus, "--pred", preds],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1:] == [
+        f"ERROR: corpus: --corpus {corpus}: corpus: record 1 (m2): unknown label 'Zeta'",
+        f"ERROR: pred: --pred {preds}: predictions: record 0 (m2): unknown label 'Zeta'",
+    ]
+
+
 def test_validate_pred_id_mismatches(tmp_path, capsys):
     gold = write(tmp_path / "g.json", json.dumps(
         [{"id": "m1", "labels": ["Ethos"]}, {"id": "m2", "labels": ["Pathos"]}]))
@@ -588,7 +614,7 @@ def test_train_memory_does_not_grow_with_dimension(tmp_path):
 
 
 # Descends on two threads whatever the machine, and announces on stdout
-# once both have taken a gradient step; then runs the CLI.
+# once both have begun an epoch; then runs the CLI.
 # Each child script below installs Python's own SIGINT handler first: a
 # child of a pytest run in the background inherits SIGINT ignored, and
 # would then descend on after the signal.
@@ -597,15 +623,15 @@ import signal, sys, threading
 from persuasionkit import baseline
 from persuasionkit.cli import main
 signal.signal(signal.SIGINT, signal.default_int_handler)
-gradient, threads, lock = baseline._gradient, set(), threading.Lock()
+epoch, threads, lock = baseline._epoch, set(), threading.Lock()
 def announce(*args):
     with lock:
         if len(threads) < 2:
             threads.add(threading.get_ident())
             if len(threads) == 2:
                 print("descending", flush=True)
-    return gradient(*args)
-baseline._gradient = announce
+    return epoch(*args)
+baseline._epoch = announce
 baseline._cpu_count = lambda: 2
 sys.exit(main(sys.argv[1:]))
 """
@@ -660,19 +686,19 @@ baseline._cpu_count, cli.main = lambda: 2, checked
 runpy.run_module("persuasionkit", run_name="__main__", alter_sys=True)
 """
 
-# "stepped" once any thread has taken a gradient step.
+# "stepped" once any thread has finished an epoch.
 _AFTER_FIRST_STEP = """
 import runpy, sys, threading
 from persuasionkit import baseline
-gradient, lock, steps = baseline._gradient, threading.Lock(), []
+epoch, lock, steps = baseline._epoch, threading.Lock(), []
 def announce(*args):
-    out = gradient(*args)
+    out = epoch(*args)
     with lock:
         if not steps:
             steps.append(None)
             print("stepped", flush=True)
     return out
-baseline._gradient = announce
+baseline._epoch = announce
 """ + _RUN_CLI
 
 # "stepped" from inside the start of the second descent thread, once it
@@ -682,9 +708,9 @@ baseline._gradient = announce
 _INSIDE_THREAD_START = """
 import runpy, sys, threading, time
 from persuasionkit import baseline
-start, started, gradient = threading.Thread.start, [], baseline._gradient
+start, started, epoch = threading.Thread.start, [], baseline._epoch
 def slow_start(self):
-    # Listed before it runs, so its first gradient finds it in started.
+    # Listed before it runs, so its first epoch finds it in started.
     descent = self.name.startswith("descent")
     if descent:
         started.append(self)
@@ -692,11 +718,11 @@ def slow_start(self):
     if descent and len(started) == 2:
         print("stepped", flush=True)
         time.sleep(1.0)
-def slow_gradient(*args):
+def slow_epoch(*args):
     if threading.current_thread() is started[-1]:
         time.sleep(1.0)
-    return gradient(*args)
-threading.Thread.start, baseline._gradient = slow_start, slow_gradient
+    return epoch(*args)
+threading.Thread.start, baseline._epoch = slow_start, slow_epoch
 """ + _RUN_CLI
 
 
@@ -1536,6 +1562,31 @@ def test_a_negative_bootstrap_seed_is_refused_by_source(
     # Without --bootstrap the seed is unused, and a negative one scores.
     assert main(["--config", config, "score", "--task", task, *hier, "--gold", gold,
                  "--pred", pred, *flag, "--out", out]) == 0
+
+
+@pytest.mark.parametrize("task", ["hier", "binary"])
+@pytest.mark.parametrize("flags,message", [
+    (["--bootstrap", "-1"], "--bootstrap must be a number of resamples >= 0 (0 = off), not -1"),
+    (["--bootstrap", "5", "--confidence", "1.5"], "--confidence must be in (0, 1), not 1.5"),
+    (["--bootstrap", "5", "--confidence", "0"], "--confidence must be in (0, 1), not 0.0"),
+    (["--bootstrap", "5", "--confidence", "nan"], "--confidence must be in (0, 1), not nan"),
+], ids=["negative-bootstrap", "confidence-above-1", "confidence-0", "confidence-nan"])
+def test_bad_bootstrap_flags_are_refused_before_any_input_is_read(
+        tmp_path, capsys, task, flags, message):
+    # The gold file does not exist: reading it would exit 2 with an i/o error.
+    missing = str(tmp_path / "no-such-gold.json")
+    out = str(tmp_path / "r.json")
+    hier = ["--hierarchy", WORKED_H] if task == "hier" else []
+    rc = main(["score", "--task", task, *hier, "--gold", missing, "--pred", BIN_PRED,
+               *flags, "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_confidence_is_unused_without_bootstrap(tmp_path):
+    assert main(["score", "--task", "binary", "--gold", BIN_GOLD, "--pred", BIN_PRED,
+                 "--confidence", "1.5", "--out", str(tmp_path / "r.json")]) == 0
 
 
 @pytest.mark.parametrize("cfg,env,message", [
