@@ -82,8 +82,9 @@ _MAX_DIMENSION = 2**62
 _SCORE_BLOCK = 1024
 
 # Index elements searched at a time when renumbering without a bucket
-# map, which bounds the temporaries.
-_RENUMBER_CHUNK = 2**16
+# map, and the most non-zeros (and rows) whose columns are sorted at a
+# time: bounds the temporaries of both.
+_INDEX_CHUNK = 2**16
 
 # A bucket map (see _renumber) is built when the dimension is at most
 # this, or at most the number of indices it renumbers: so it never takes
@@ -247,14 +248,14 @@ class HierModel:
 
 
 def _errors(X: "sparse.sparray | np.ndarray", Y: np.ndarray, W: np.ndarray,
-            B: np.ndarray) -> np.ndarray:
-    """``(expit(X @ W + B) - Y) / n``, with ``n`` the rows of ``X``: the
-    derivative of the mean loss by each instance's logit, per head.
+            B: np.ndarray, n: int) -> np.ndarray:
+    """``(expit(X @ W + B) - Y) / n``: the derivative of the mean loss over
+    ``n`` instances by the logit of each of ``X``'s rows, per head.
 
     Each sum of ``X @ W`` starts at +0.0 and adds its terms in ascending
-    column order, whether ``X`` is CSR (a gather along each row) or CSC
-    (a scatter of each column into the rows' sums): the two are equal bit
-    for bit.
+    column order, whether ``X`` is CSR (a gather along each row, as
+    ``train`` takes it) or CSC (a scatter of each column into the rows'
+    sums): the two are equal bit for bit.
     """
     from scipy.special import expit
 
@@ -262,17 +263,17 @@ def _errors(X: "sparse.sparray | np.ndarray", Y: np.ndarray, W: np.ndarray,
     E += B
     expit(E, out=E)
     E -= Y
-    E /= X.shape[0]
+    E /= n
     return E
 
 
 def _weight_gradient(XT: "sparse.sparray | np.ndarray", E: np.ndarray, W: np.ndarray,
                      l2: float) -> np.ndarray:
-    """``XT @ E + l2 * W``, with ``XT`` the transposed design matrix, or a
-    range of its rows, and ``W`` their weights.  Each sum starts at +0.0
-    and adds its terms in ascending instance order at any number of heads,
-    whether ``XT`` is the CSC view of a CSR matrix (a scatter) or the CSR
-    view of a CSC one (a gather)."""
+    """``XT @ E + l2 * W``, with ``XT`` the transposed design matrix, ``E``
+    the errors of some heads and ``W`` their weights.  Each sum starts at
+    +0.0 and adds its terms in ascending instance order at any number of
+    heads, whether ``XT`` is the CSC view of a CSR matrix (a scatter, as
+    ``train`` takes it) or the CSR view of a CSC one (a gather)."""
     G = XT @ E
     G += l2 * W
     return G
@@ -297,11 +298,11 @@ def _gradient(
     the heads in the columns of ``Y``, ``W`` and ``B``.
 
     It is :func:`_errors`, :func:`_weight_gradient` of ``X.T`` and
-    :func:`_column_sums`, the three steps ``train`` takes on its CSC
-    matrix, so each column is the trainer's gradient of that head bit for
-    bit, whatever ``X``'s sparse format.
+    :func:`_column_sums`, the three steps ``train`` takes on the design's
+    CSR arrays, so each column is the trainer's gradient of that head bit
+    for bit, whatever ``X``'s sparse format.
     """
-    E = _errors(X, Y, W, B)
+    E = _errors(X, Y, W, B, X.shape[0])
     return _weight_gradient(X.T, E, W, l2), _column_sums(E)
 
 
@@ -339,7 +340,7 @@ def _renumber(
     When ``dimension`` is at most ``max(indices.size, _MAP_ENTRIES)``,
     both come from a map from every bucket, whose memory is then bounded.
     Otherwise ``rows`` are the union of each chunk's unique indices and the
-    positions are found by binary search, ``_RENUMBER_CHUNK`` indices at a
+    positions are found by binary search, ``_INDEX_CHUNK`` indices at a
     time, so no temporary grows with ``dimension``.  ``indices`` need not
     be sorted.
     """
@@ -354,15 +355,15 @@ def _renumber(
         return rows, where[indices]
     if rows is None:
         rows = np.unique(np.concatenate(
-            [np.unique(indices[s : s + _RENUMBER_CHUNK])
-             for s in range(0, indices.size, _RENUMBER_CHUNK)] or [[]]
+            [np.unique(indices[s : s + _INDEX_CHUNK])
+             for s in range(0, indices.size, _INDEX_CHUNK)] or [[]]
         )).astype(np.int64)
     positions = np.full(indices.size, -1, dtype=dtype)
     # With no rows, every position is -1, and there is nothing to take.
-    for s in range(0, indices.size if rows.size else 0, _RENUMBER_CHUNK):
-        chunk = indices[s : s + _RENUMBER_CHUNK]
+    for s in range(0, indices.size if rows.size else 0, _INDEX_CHUNK):
+        chunk = indices[s : s + _INDEX_CHUNK]
         pos = np.searchsorted(rows, chunk)
-        positions[s : s + _RENUMBER_CHUNK] = np.where(
+        positions[s : s + _INDEX_CHUNK] = np.where(
             rows.take(pos, mode="clip") == chunk, pos, -1)
     return rows, positions
 
@@ -407,15 +408,22 @@ def _design(
     if not keep.all():
         data, pos = data[keep], pos[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    del keep
     # A row's buckets are distinct, so its (row, position) keys are too.
-    # Sorted a block of rows at a time, the keys stay far below 2**63.
-    for s in range(0, len(instances), _SCORE_BLOCK):
-        bounds = indptr[s : s + _SCORE_BLOCK + 1]
+    # Sorted a piece of whole rows at a time, at most _INDEX_CHUNK rows and
+    # _INDEX_CHUNK non-zeros unless one row holds more, the keys stay far
+    # below 2**63 and no temporary grows with the corpus.
+    s = 0
+    while s < len(instances):
+        e = int(np.searchsorted(indptr, indptr[s] + _INDEX_CHUNK, "right")) - 1
+        e = max(s + 1, min(e, s + _INDEX_CHUNK))
+        bounds = indptr[s : e + 1]
         block = slice(bounds[0], bounds[-1])
-        key = np.repeat(np.arange(bounds.size - 1) * rows.size, np.diff(bounds))
+        key = np.repeat(np.arange(e - s) * rows.size, np.diff(bounds))
         key += pos[block]
         order = np.argsort(key)
         data[block], pos[block] = data[block][order], pos[block][order]
+        s = e
     return rows, data, pos, indptr.astype(index)
 
 
@@ -497,33 +505,26 @@ def _row_ranges(X: "sparse.csr_array", parts: int) -> list[tuple[slice, "sparse.
     return ranges
 
 
-def _epoch(
-    Xc: "sparse.csc_array",
-    heads: slice,
-    rows: slice,
-    XTr: "sparse.csr_array",
-    Y: np.ndarray,
-    W: np.ndarray,
-    B: np.ndarray,
-    E: np.ndarray,
-    tcfg: TrainConfig,
-    barrier: threading.Barrier,
-):
+def _epoch(X: "sparse.csr_array", rows: slice, Xr: "sparse.csr_array", heads: slice,
+           Y: np.ndarray, W: np.ndarray, B: np.ndarray, E: np.ndarray, tcfg: TrainConfig,
+           barrier: threading.Barrier):
     """One epoch of one descent thread, in two halves that every thread
     runs together.
 
-    First the forward product ``Xc @ W[:, heads]``: the thread writes its
-    heads' columns of ``E`` and steps their biases.  Once every thread
-    has, the backward product ``XTr @ E``, with ``XTr`` the rows ``rows``
-    of ``Xc.T``, for every head at once: the thread steps those weight
-    rows.  No thread starts the next epoch's forward product before every
-    weight row has stepped.
+    First the forward product ``Xr @ W`` for every head, with ``Xr`` the
+    rows ``rows`` of ``X`` (a gather along each row): the thread writes
+    those rows of ``E``.  Once every thread has, the backward product
+    ``X.T @ E[:, heads]`` (a scatter through the CSC view that shares
+    ``X``'s arrays): the thread steps its heads' weights, then their
+    biases from their columns' sums over all rows, which overwrite those
+    columns of ``E``.  No thread starts the next epoch's forward product
+    before every head has stepped.
     """
-    Eg = _errors(Xc, Y[:, heads], W[:, heads], B[heads])
-    E[:, heads] = Eg
-    B[heads] -= tcfg.learning_rate * _column_sums(Eg)
+    E[rows] = _errors(Xr, Y[rows], W, B, X.shape[0])
     barrier.wait()
-    W[rows] -= tcfg.learning_rate * _weight_gradient(XTr, E, W[rows], tcfg.l2)
+    Eg = E[:, heads]
+    W[:, heads] -= tcfg.learning_rate * _weight_gradient(X.T, Eg, W[:, heads], tcfg.l2)
+    B[heads] -= tcfg.learning_rate * _column_sums(Eg)
     barrier.wait()
 
 
@@ -580,16 +581,16 @@ def train(
     warning.  Thresholds start at 0.5.  The model holds one weight row per
     bucket some training document uses.
 
-    Descent holds the design matrix once, column-major.  It runs on one
-    thread per CPU, at most one per trainable head, and each epoch in two
-    halves (see :func:`_epoch`): each thread takes the forward product
-    for a group of heads, then the backward product for a range of weight
-    rows.  Each weight and bias adds its terms in the same order at any
-    thread count, so the model is the same bit for bit.  An error in one
-    thread, or an interrupt while they descend, stops the others at their
-    next half, and the call waits for them to stop.  In the main thread,
-    Ctrl-C only sets that stop, and ``train`` raises KeyboardInterrupt
-    once every thread has stopped.
+    Descent holds the design matrix once, as the row-major (CSR) arrays
+    :func:`_design` returns.  It runs on one thread per CPU, at most one
+    per trainable head, and each epoch in two halves (see :func:`_epoch`):
+    each thread takes the forward product for a range of instances, then
+    the backward product for a group of heads.  Each weight and bias adds
+    its terms in the same order at any thread count, so the model is the
+    same bit for bit.  An error in one thread, or an interrupt while they
+    descend, stops the others at their next half, and the call waits for
+    them to stop.  In the main thread, Ctrl-C only sets that stop, and
+    ``train`` raises KeyboardInterrupt once every thread has stopped.
     """
     import numpy as np
     from scipy import sparse
@@ -613,8 +614,7 @@ def train(
     Wa = np.zeros((used.size, active.size), dtype=np.float64)
     Ba = np.zeros(active.size, dtype=np.float64)
     if active.size:
-        Xc = sparse.csr_array(tuple(design), shape=(len(corpus), used.size)).tocsc()
-        del design
+        X = sparse.csr_array(tuple(design), shape=(len(corpus), used.size))
         threads = min(_cpu_count(), active.size)
         heads = [slice(g[0], g[-1] + 1)
                  for g in np.array_split(np.arange(active.size), threads)]
@@ -624,9 +624,9 @@ def train(
         with _interrupt_sets(barrier.abort), \
                 ThreadPoolExecutor(threads, thread_name_prefix="descent") as pool:
             try:
-                jobs = [pool.submit(_descend, tcfg.epochs, Xc, group, rows, XTr,
+                jobs = [pool.submit(_descend, tcfg.epochs, X, rows, Xr, group,
                                     Ya, Wa, Ba, E, tcfg, barrier)
-                        for group, (rows, XTr) in zip(heads, _row_ranges(Xc.T, threads))]
+                        for (rows, Xr), group in zip(_row_ranges(X, threads), heads)]
                 for job in as_completed(jobs):
                     job.result()
             except BaseException:

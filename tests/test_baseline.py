@@ -328,24 +328,27 @@ def test_positions_by_map_and_by_search_agree(case):
 def test_renumbering_keeps_every_used_column(case, entries):
     X = case[0]
     with mock.patch.object(baseline, "_MAP_ENTRIES", entries), \
-            mock.patch.object(baseline, "_RENUMBER_CHUNK", 7):
+            mock.patch.object(baseline, "_INDEX_CHUNK", 7):
         used, pos = baseline._renumber(X.indices, X.shape[1], dtype=np.int32)
     assert used.dtype == np.int64 and used.tolist() == sorted(set(X.indices.tolist()))
     assert pos.dtype == np.int32 and np.array_equal(used[pos], X.indices)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.text(max_size=30), max_size=7),
+@given(st.lists(st.one_of(st.text(max_size=3), st.text(max_size=30)), max_size=12),
        st.sampled_from((2**4, 2**10, 2**24, 2**31, 2**40)), st.booleans())
 def test_design_rows_are_featurize_renumbered_and_sorted(texts, dimension, restrict):
     # Row i holds featurize's buckets that are among the rows, ascending,
-    # with featurize's values; blocks of 3 documents cover block edges.
-    # Buckets are collected in 4 bytes up to 2**31 and in 8 above it.
+    # with featurize's values.  Rows are sorted in pieces of at most 5
+    # non-zeros and 5 rows: short and empty documents share a piece, a
+    # longer one is a piece on its own, and cuts fall at any row, not only
+    # at the edges of a scoring block.  Buckets are collected in 4 bytes up
+    # to 2**31 and in 8 above it.
     cfg = FeatureConfig(dimension=dimension)
     vecs = [featurize(t, None, cfg) for t in texts]
     used = sorted(set().union(*vecs))
     rows = np.array(used[::2], dtype=np.int64) if restrict else None
-    with mock.patch.object(baseline, "_SCORE_BLOCK", 3):
+    with mock.patch.object(baseline, "_INDEX_CHUNK", 5):
         got_rows, data, pos, indptr = baseline._design(
             [doc(f"d{i}", t) for i, t in enumerate(texts)], cfg, rows)
     assert got_rows.tolist() == (used[::2] if restrict else used)
@@ -551,10 +554,68 @@ def test_more_threads_than_used_columns_match_the_reference():
         assert np.array_equal(model.bias, B), workers
 
 
+def test_more_threads_than_training_instances_match_the_reference():
+    # Three documents and a thread per trainable head: most threads'
+    # ranges of instances are empty in the forward half.
+    labels = sorted(SUBTASK2A.non_root_labels())
+    corpus = [doc(f"d{i}", f"{WORDS[i]} {WORDS[i + 2]}", set(labels[i::3])) for i in range(3)]
+    fcfg, tcfg = FeatureConfig(dimension=2**10), TrainConfig(epochs=20)
+    Y = SUBTASK2A.closed_rows(d.gold for d in corpus).astype(np.float64)
+    W, B = dense_descent(design_matrix(corpus, fcfg), Y,
+                         tcfg.epochs, tcfg.learning_rate, tcfg.l2)
+    assert Y.any(axis=0).sum() > 2 * len(corpus)
+    for workers in (4, 64):
+        with mock.patch.object(baseline, "_cpu_count", return_value=workers):
+            model = train(corpus, SUBTASK2A, fcfg, tcfg)
+        assert np.array_equal(model.weights, W), workers
+        assert np.array_equal(model.bias, B), workers
+
+
+def test_train_peaks_near_one_design_until_descent():
+    # The traced peak from _design's start to the first epoch, above the
+    # traced memory before _design, is below 1.6x the design's bytes: no
+    # second copy of the matrix, in any layout, and no sort temporary that
+    # grows with the corpus, is ever alive beside it.  (Holding a CSC
+    # copy, even briefly, reads above 2x.)  A vocabulary of 100 words keeps
+    # every hash memo below its bound, so the warm-up fills them for good.
+    rng = random.Random(3)
+    words = [f"w{k}" for k in range(100)]
+    corpus = [doc(f"d{i}", " ".join(rng.choice(words) for _ in range(60)),
+                  {("Pathos", "NameCalling", "Ethos")[i % 3]}) for i in range(1000)]
+    fcfg = FeatureConfig(dimension=2**16)
+    baseline._design(corpus, fcfg)  # fills the hash memo before tracing
+    design, epoch, seen = baseline._design, baseline._epoch, {}
+    lock = threading.Lock()
+
+    def traced_design(*args):
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return design(*args)
+
+    def first_epoch(*args):
+        with lock:
+            if "peak" not in seen:
+                X = args[0]
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+                seen["X"] = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        return epoch(*args)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(baseline, "_cpu_count", return_value=4), \
+                mock.patch.object(baseline, "_design", traced_design), \
+                mock.patch.object(baseline, "_epoch", first_epoch):
+            train(corpus, H, fcfg, TrainConfig(epochs=2))
+    finally:
+        tracemalloc.stop()
+    assert seen["X"] > 2**22
+    assert seen["peak"] - seen["before"] < 1.6 * seen["X"], seen
+
+
 def test_descent_holds_one_copy_of_the_design():
     # At the first epoch, traced memory above its level before _design is
-    # below 1.5x the column-major matrix's bytes: the row-major arrays are
-    # gone, and no thread's range of rows is a copy.
+    # below 1.5x the design's bytes: descent takes _design's own arrays,
+    # and no thread's range of rows is a copy.
     rng = random.Random(3)
     words = [f"w{k}" for k in range(300)]
     corpus = [doc(f"d{i}", " ".join(rng.choice(words) for _ in range(60)),
@@ -571,9 +632,9 @@ def test_descent_holds_one_copy_of_the_design():
     def first_epoch(*args):
         with lock:
             if "epoch" not in seen:
-                Xc = args[0]
+                X = args[0]
                 seen["epoch"] = tracemalloc.get_traced_memory()[0]
-                seen["Xc"] = Xc.data.nbytes + Xc.indices.nbytes + Xc.indptr.nbytes
+                seen["X"] = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
         return epoch(*args)
 
     tracemalloc.start()
@@ -584,8 +645,8 @@ def test_descent_holds_one_copy_of_the_design():
             train(corpus, H, fcfg, TrainConfig(epochs=2))
     finally:
         tracemalloc.stop()
-    assert seen["Xc"] > 2**21
-    assert seen["epoch"] - seen["before"] < 1.5 * seen["Xc"], seen
+    assert seen["X"] > 2**21
+    assert seen["epoch"] - seen["before"] < 1.5 * seen["X"], seen
 
 
 def test_a_failing_head_group_stops_the_others():
