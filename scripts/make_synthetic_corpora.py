@@ -16,13 +16,13 @@ the defaults below.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from persuasionkit.corpus import json_pieces  # noqa: E402
 from persuasionkit.hierarchy import parse_hierarchy  # noqa: E402
 
 HIERARCHY = """\
@@ -102,8 +102,7 @@ def make_doc(rng: random.Random, h, labels, idx: int, prefix: str,
 
 def write(path: str, records: list[dict]):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        fh.writelines(json_pieces(records))
     print(f"wrote {len(records):4d} records -> {path}")
 
 

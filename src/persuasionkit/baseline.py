@@ -107,7 +107,7 @@ class FeatureConfig:
 
     def __post_init__(self):
         if self.dimension <= 0 or self.dimension & (self.dimension - 1):
-            raise ValueError("dimension must be a positive power of two")
+            raise ValueError(f"dimension must be a positive power of two, not {self.dimension}")
         if self.dimension > _MAX_DIMENSION:
             raise ValueError(
                 f"feature dimension {self.dimension} is too large: bucket indices must "

@@ -24,12 +24,13 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import signal
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__
 from .baseline import (
@@ -217,6 +218,15 @@ def _config(data: bytes) -> dict:
     return config
 
 
+def _checked(source: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with ``source: `` in front of a ValueError
+    it raises, so the message names where the bad value came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def _labeled(corpus: list) -> list:
     """``corpus``, refused unless it holds instances, each with gold labels."""
     if not corpus:
@@ -402,6 +412,8 @@ def _score_binary(args: argparse.Namespace, inputs: _Inputs) -> dict:
 
 
 def cmd_score(args: argparse.Namespace, inputs: _Inputs) -> int:
+    if args.beta is not None and not 0 <= args.beta < math.inf:
+        raise ValueError(f"--beta must be a finite number >= 0, not {args.beta}")
     if args.bootstrap < 0:
         raise ValueError(f"--bootstrap must be a number of resamples >= 0 (0 = off), "
                          f"not {args.bootstrap}")
@@ -422,6 +434,12 @@ def cmd_score(args: argparse.Namespace, inputs: _Inputs) -> int:
 # -- caption -----------------------------------------------------------------
 
 def cmd_caption(args: argparse.Namespace, inputs: _Inputs, transport=None) -> int:
+    # Checked before any input is read, each named where its value came from.
+    if args.jobs < 1:
+        raise ValueError(f"{args.origin['jobs']} must be at least 1, not {args.jobs}")
+    if args.rate_limit is not None and not 0 < args.rate_limit < math.inf:
+        raise ValueError(f"{args.origin['rate_limit']} must be positive and finite, "
+                         f"not {args.rate_limit}")
     corpus = inputs.read("corpus", load_corpus)
     if transport is None and not args.endpoint:
         raise ValueError("--endpoint is required (or PERSUASIONKIT_ENDPOINT)")
@@ -467,6 +485,11 @@ def _degraded(mode: str, *corpora) -> int:
 
 
 def cmd_train(args: argparse.Namespace, inputs: _Inputs) -> int:
+    # Checked before any input is read, each under its flag.
+    fcfg = _checked("--dim", FeatureConfig, dimension=args.dim, mode=args.mode)
+    tcfg = TrainConfig()
+    for flag, key in (("--epochs", "epochs"), ("--lr", "learning_rate"), ("--l2", "l2")):
+        tcfg = _checked(flag, replace, tcfg, **{key: getattr(args, flag[2:])})
     h = inputs.read("hierarchy", _hierarchy)
 
     def labeled(data: bytes) -> list:
@@ -475,8 +498,6 @@ def cmd_train(args: argparse.Namespace, inputs: _Inputs) -> int:
     corpus = inputs.read("corpus", labeled)
     # Read before descent, so a bad dev file fails at once.
     dev = inputs.read("tune_dev", labeled) if args.tune_dev else None
-    fcfg = FeatureConfig(dimension=args.dim, mode=args.mode)
-    tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, l2=args.l2)
     degraded = _degraded(args.mode, corpus, dev or ())
     if degraded:
         logger.warning("%d instance(s) lacked a caption; trained on text features only",

@@ -64,16 +64,48 @@ class MemeInstance:
     lang: str | None = None
 
 
-# The encoder of every JSON array file written: ``json.dumps`` with these
-# options builds the same text, all at once.
-_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+# The string escaper of ``json.dumps(..., ensure_ascii=False)``: CPython's
+# C one when its ``_json`` module is built, as it is by default.
+_escape = json.encoder.encode_basestring
 
 
-def json_pieces(records: list) -> Iterator[str]:
+def _record_text(rec: dict) -> str:
+    """The text of the flat record ``rec`` as an element of an ``indent=2``
+    JSON array: ``{`` at the element's indent, one key per line."""
+    if not isinstance(rec, dict):
+        raise TypeError(f"a record must be a dict, not {type(rec).__name__}")
+    if not rec:
+        return "{}"
+    fields = []
+    for key, value in rec.items():
+        if isinstance(value, str):
+            fields.append(f"{_escape(key)}: {_escape(value)}")
+        elif not isinstance(value, list):
+            raise TypeError(f"field {key!r} must be a str or a list of str, "
+                            f"not {type(value).__name__}")
+        elif value:
+            fields.append(f"{_escape(key)}: [\n      "
+                          + ",\n      ".join(map(_escape, value)) + "\n    ]")
+        else:
+            fields.append(f"{_escape(key)}: []")
+    return "{\n    " + ",\n    ".join(fields) + "\n  }"
+
+
+def json_pieces(records: Iterable[dict]) -> Iterator[str]:
     """The text of ``json.dumps(records, ensure_ascii=False, indent=2) +
-    "\n"`` in pieces, so a caller may write it without holding it whole."""
-    yield from _ENCODER.iterencode(records)
-    yield "\n"
+    "\n"`` in pieces, one per record, so a caller may write it without
+    holding it whole.
+
+    Each record is a flat dict with str keys, whose values are a str or a
+    list of str; every key and string goes through the escaper
+    ``json.dumps`` uses, so the bytes are the same.  Anything else (a
+    non-dict record, a key or list item that is not a str, any other value
+    type) raises TypeError."""
+    first = True
+    for rec in records:
+        yield ("[\n  " if first else ",\n  ") + _record_text(rec)
+        first = False
+    yield "[]\n" if first else "\n]\n"
 
 
 # A UTF-16 surrogate spelled as a JSON escape, in either case: what
@@ -333,10 +365,9 @@ def load_predictions(
 
 
 def write_predictions(predictions: Mapping[str, Iterable[str]]) -> str:
-    records = [
+    return "".join(json_pieces(
         {"id": iid, "labels": sorted(predictions[iid])} for iid in sorted(predictions)
-    ]
-    return "".join(json_pieces(records))
+    ))
 
 
 def load_binary_predictions(data: str | bytes) -> dict[str, bool]:
@@ -358,11 +389,10 @@ def load_binary_predictions(data: str | bytes) -> dict[str, bool]:
 
 
 def write_binary_predictions(predictions: Mapping[str, bool]) -> str:
-    records = [
+    return "".join(json_pieces(
         {"id": iid, "label": BINARY_POSITIVE if predictions[iid] else BINARY_NEGATIVE}
         for iid in sorted(predictions)
-    ]
-    return "".join(json_pieces(records))
+    ))
 
 
 def load_captions(data: str | bytes) -> dict[str, tuple[str, str]]:
@@ -384,11 +414,12 @@ def load_captions(data: str | bytes) -> dict[str, tuple[str, str]]:
 
 
 def caption_pieces(captions: Mapping[str, tuple[str, str]]) -> Iterator[str]:
-    """The text of :func:`write_captions` in pieces (see :func:`json_pieces`)."""
-    return json_pieces([
+    """The text of :func:`write_captions` in pieces (see :func:`json_pieces`),
+    one record at a time in id order, built as it is written."""
+    return json_pieces(
         {"id": iid, "caption": captions[iid][0], "source": captions[iid][1]}
         for iid in sorted(captions)
-    ])
+    )
 
 
 def write_captions(captions: Mapping[str, tuple[str, str]]) -> str:

@@ -531,7 +531,7 @@ def test_train_huge_dimension_is_validation_error(tmp_path, capsys):
                "--dim", str(HUGE_DIM), "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: feature dimension {HUGE_DIM} is too large")
+    assert err.startswith(f"error: --dim: feature dimension {HUGE_DIM} is too large")
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -547,7 +547,7 @@ def test_train_refuses_a_hyperparameter_that_is_not_finite(tmp_path, capsys, fla
                "--dim", "1024", flag, value, "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be a finite number") and value in err
+    assert err.startswith(f"error: {flag}: {name} must be a finite number") and value in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -1151,6 +1151,43 @@ def test_caption_rejects_bad_rate_or_jobs_before_any_request(tmp_path, capsys, m
         assert problem in capsys.readouterr().err
         assert transport.requests == []
         assert not ck.exists()
+
+
+@pytest.mark.parametrize("argv, config, environ, source", [
+    (["train", "--dim", "3"], None, {}, "--dim: "),
+    (["train", "--epochs", "0"], None, {}, "--epochs: "),
+    (["train", "--lr", "nan"], None, {}, "--lr: "),
+    (["train", "--l2", "-1"], None, {}, "--l2: "),
+    (["caption", "--jobs", "0"], None, {}, "--jobs must be at least 1"),
+    (["caption"], {"jobs": 0}, {}, "--config {cfg}: config key 'jobs' must be at least 1"),
+    (["caption"], None, {"PERSUASIONKIT_JOBS": "0"},
+     "environment variable PERSUASIONKIT_JOBS must be at least 1"),
+    (["caption", "--rate-limit", "nan"], None, {}, "--rate-limit must be positive"),
+    (["caption"], {"rate_limit": 0}, {},
+     "--config {cfg}: config key 'rate_limit' must be positive"),
+    (["caption"], None, {"PERSUASIONKIT_RATE_LIMIT": "inf"},
+     "environment variable PERSUASIONKIT_RATE_LIMIT must be positive"),
+    (["score", "--task", "hier", "--beta", "nan"], None, {}, "--beta must be a finite number"),
+], ids=["dim", "epochs", "lr", "l2", "jobs", "config-jobs", "env-jobs", "rate-limit",
+        "config-rate-limit", "env-rate-limit", "beta"])
+def test_bad_numeric_option_is_named_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                              argv, config, environ, source):
+    # Every input path is missing, so reading one first would exit 2.
+    missing = str(tmp_path / "missing.json")
+    inputs = {"train": ["--hierarchy", missing, "--corpus", missing,
+                        "--out", str(tmp_path / "model.json")],
+              "caption": ["--corpus", missing, "--out", str(tmp_path / "ck.jsonl")],
+              "score": ["--hierarchy", missing, "--gold", missing, "--pred", missing]}
+    cfg = write(tmp_path / "cfg.json", json.dumps(config)) if config is not None else None
+    for key, val in environ.items():
+        monkeypatch.setenv(key, val)
+    rc = main((["--config", cfg] if cfg else []) + argv + inputs[argv[0]],
+              transport=ScriptedTransport())
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + source.format(cfg=cfg)), err
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == (["cfg.json"] if cfg else [])
 
 
 # -- caption-eval ----------------------------------------------------------------

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from persuasionkit.corpus import (
+    CAPTION_SOURCES,
     CorpusError,
     MemeInstance,
+    caption_pieces,
     dump_corpus,
+    json_pieces,
     load_binary_predictions,
     load_captions,
     load_corpus,
@@ -258,3 +261,93 @@ def test_captions_round_trip():
         load_captions(json.dumps([{"id": "a", "caption": "x", "source": "vibes"}]))
     with pytest.raises(CorpusError, match="missing 'caption'"):
         load_captions(json.dumps([{"id": "a", "source": "manual"}]))
+
+
+# -- writers against json.dumps ------------------------------------------------
+
+def _dumps(records) -> str:
+    """The one-shot reference every JSON array writer must equal."""
+    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+
+
+# Text the escaper must get right: quotes, backslashes, every control
+# character, U+2028/U+2029, non-ASCII and astral code points, and any other
+# code point but a surrogate (no UTF-8 writer can encode a lone one).
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029é日😀\U0010ffff'),
+    st.characters(blacklist_categories=("Cs",)),
+))
+_RECORD = st.dictionaries(_TEXT, st.one_of(_TEXT, st.lists(_TEXT, max_size=4)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(_RECORD, max_size=6))
+def test_json_pieces_is_json_dumps_one_piece_per_record(records):
+    pieces = list(json_pieces(records))
+    assert "".join(pieces) == _dumps(records)
+    assert len(pieces) == len(records) + 1
+    assert "".join(json_pieces(iter(records))) == _dumps(records)
+
+
+@pytest.mark.parametrize("records", [
+    [1], [["x"]], [{"a": 1}], [{"a": None}], [{"a": True}], [{"a": ("x",)}],
+    [{"a": {"b": "c"}}], [{"a": ["x", 1]}], [{"a": [["x"]]}], [{1: "x"}], [{"a": "x"}, {None: "y"}],
+])
+def test_json_pieces_refuses_what_is_not_a_flat_record_of_strings(records):
+    with pytest.raises(TypeError):
+        "".join(json_pieces(records))
+
+
+_IDS = st.lists(_TEXT, unique=True, max_size=8).map(sorted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=_IDS, data=st.data())
+def test_each_writer_is_json_dumps_of_its_records(ids, data):
+    labels = {iid: data.draw(st.lists(_TEXT, max_size=4)) for iid in ids}
+    assert write_predictions(labels) == _dumps(
+        [{"id": iid, "labels": sorted(labels[iid])} for iid in ids])
+    binary = {iid: data.draw(st.booleans()) for iid in ids}
+    assert write_binary_predictions(binary) == _dumps(
+        [{"id": iid, "label": "propagandistic" if binary[iid] else "not_propagandistic"}
+         for iid in ids])
+    captions = {iid: (data.draw(_TEXT), data.draw(st.sampled_from(CAPTION_SOURCES)))
+                for iid in ids}
+    want = _dumps([{"id": iid, "caption": captions[iid][0], "source": captions[iid][1]}
+                   for iid in ids])
+    assert write_captions(captions) == "".join(caption_pieces(captions)) == want
+    optional = st.one_of(st.none(), _TEXT)
+    instances = [MemeInstance(
+        id=iid, text=data.draw(_TEXT), image=data.draw(optional),
+        gold=data.draw(st.one_of(st.none(), st.frozensets(_TEXT, max_size=3))),
+        caption=data.draw(optional), caption_source=data.draw(optional),
+        lang=data.draw(optional)) for iid in reversed(ids)]
+    records = []
+    for inst in instances:
+        rec = {"id": inst.id, "text": inst.text, "image": inst.image,
+               "labels": None if inst.gold is None else sorted(inst.gold),
+               "caption": inst.caption, "caption_source": inst.caption_source,
+               "lang": inst.lang}
+        records.append({key: val for key, val in rec.items() if val is not None})
+    assert dump_corpus(instances) == _dumps(records)
+
+
+class _CountingCaptions(dict):
+    """A captions map that counts the ids looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.looked_up = set()
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return super().__getitem__(key)
+
+
+def test_caption_pieces_builds_each_record_as_it_is_written():
+    captions = _CountingCaptions({f"m{i:03d}": (f"caption {i}", "manual") for i in range(50)})
+    pieces = caption_pieces(captions)
+    first = next(pieces)
+    assert captions.looked_up == {"m000"}
+    assert "".join([first, *pieces]) == write_captions(captions)
+    assert len(captions.looked_up) == 50
