@@ -24,9 +24,9 @@ import signal
 import threading
 from array import array
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -536,21 +536,27 @@ def _descend(epochs: int, *args):
             _epoch(*args)
 
 
-@contextmanager
-def _interrupt_sets(stop: Callable[[], object]):
-    """Within the block, Ctrl-C calls ``stop()`` (once) instead of raising,
-    and KeyboardInterrupt is raised once the block is done.
+def _run_together(calls: Iterable[Callable[[], object]], stop: Callable[[], object],
+                  name: str = ""):
+    """Run each of ``calls`` on a thread of its own, named ``{name}_{k}``
+    if ``name`` is given, and wait for them all.
 
-    Python runs signal handlers in the main thread, whichever thread got
-    the signal, so no KeyboardInterrupt can land while the block starts
-    or joins a thread.  Anywhere but in the main thread with Python's
-    default SIGINT handler, the block runs as it is.
+    A call that raises calls ``stop()`` on its own thread; ``stop()`` is
+    called once more when every call has ended, and then the first
+    exception is raised.  In the main thread, under Python's default
+    SIGINT handler, Ctrl-C only calls ``stop()`` (a second one does
+    nothing), and KeyboardInterrupt is raised once every thread has ended:
+    Python runs signal handlers in the main thread, so none can raise
+    while a thread is started or joined.
     """
-    if (threading.current_thread() is not threading.main_thread()
-            or signal.getsignal(signal.SIGINT) is not signal.default_int_handler):
-        yield
-        return
-    interrupted = []
+    errors, interrupted = [], []
+
+    def run(call):
+        try:
+            call()
+        except BaseException as exc:
+            errors.append(exc)
+            stop()
 
     def on_sigint(signum, frame):
         interrupted.append(signum)
@@ -558,11 +564,28 @@ def _interrupt_sets(stop: Callable[[], object]):
         if len(interrupted) == 1:
             stop()
 
-    signal.signal(signal.SIGINT, on_sigint)
+    catch = (threading.current_thread() is threading.main_thread()
+             and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
+    if catch:
+        signal.signal(signal.SIGINT, on_sigint)
+    threads = []
     try:
-        yield
+        for k, call in enumerate(calls):
+            thread = threading.Thread(target=run, args=(call,),
+                                      name=f"{name}_{k}" if name else None)
+            thread.start()
+            threads.append(thread)
+    except BaseException:  # a thread that could not start
+        stop()
+        raise
     finally:
-        signal.signal(signal.SIGINT, signal.default_int_handler)
+        for thread in threads:
+            thread.join()
+        if catch:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+    stop()
+    if errors:
+        raise errors[0]
     if interrupted:
         raise KeyboardInterrupt
 
@@ -587,10 +610,8 @@ def train(
     each thread takes the forward product for a range of instances, then
     the backward product for a group of heads.  Each weight and bias adds
     its terms in the same order at any thread count, so the model is the
-    same bit for bit.  An error in one thread, or an interrupt while they
-    descend, stops the others at their next half, and the call waits for
-    them to stop.  In the main thread, Ctrl-C only sets that stop, and
-    ``train`` raises KeyboardInterrupt once every thread has stopped.
+    same bit for bit.  The threads run through :func:`_run_together`, so
+    an error in one, or Ctrl-C, stops the others at their next half.
     """
     import numpy as np
     from scipy import sparse
@@ -621,17 +642,9 @@ def train(
         Ya = Y[:, active]
         E = np.zeros((len(corpus), active.size), dtype=np.float64)
         barrier = threading.Barrier(threads)
-        with _interrupt_sets(barrier.abort), \
-                ThreadPoolExecutor(threads, thread_name_prefix="descent") as pool:
-            try:
-                jobs = [pool.submit(_descend, tcfg.epochs, X, rows, Xr, group,
-                                    Ya, Wa, Ba, E, tcfg, barrier)
-                        for (rows, Xr), group in zip(_row_ranges(X, threads), heads)]
-                for job in as_completed(jobs):
-                    job.result()
-            except BaseException:
-                barrier.abort()
-                raise
+        _run_together([partial(_descend, tcfg.epochs, X, rows, Xr, g, Ya, Wa, Ba, E, tcfg, barrier)
+                       for (rows, Xr), g in zip(_row_ranges(X, threads), heads)],
+                      barrier.abort, "descent")
 
     W = np.zeros((used.size, len(labels)), dtype=np.float64)
     W[:, active] = Wa

@@ -27,10 +27,10 @@ import re
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import partial
 
-from .baseline import _interrupt_sets
+from .baseline import _run_together
 from .corpus import MemeInstance, read_int, read_json
 
 __all__ = [
@@ -535,13 +535,11 @@ def caption_corpus(
     Up to ``concurrency`` worker threads take the instances one at a time
     from one shared queue, in corpus order, and append each outcome to the
     checkpoint as it completes; with one worker the lines follow corpus
-    order.  Once a worker raises, or Ctrl-C reaches the calling thread, no
-    worker starts another instance; the call waits for the ones in flight
-    and then raises that exception.  In the main thread, Ctrl-C only sets
-    that stop, a second one too, and KeyboardInterrupt is raised once every
-    worker has ended, so each outcome in flight reaches the checkpoint
-    before it is synced to disk and closed.  The returned map includes
-    resumed terminal outcomes.
+    order.  The workers run through :func:`baseline._run_together`: once
+    one raises, or Ctrl-C comes, no worker starts another instance, and
+    the call raises once the instances in flight are done, so each of
+    their outcomes reaches the checkpoint before it is synced to disk and
+    closed.  The returned map includes resumed terminal outcomes.
 
     Raises ValueError, before the checkpoint is touched, for a
     ``concurrency`` below 1 or a rate that is not positive and finite.
@@ -556,25 +554,20 @@ def caption_corpus(
     results: dict[str, CaptionOutcome] = {}
 
     def work(queue: Iterator[MemeInstance]):
-        try:
-            while not stop.is_set():
-                with take_lock:
-                    inst = next(queue, None)
-                if inst is None:
-                    return
-                outcome = caption_instance(
-                    inst, cfg, transport, clock=clock, rng=random.Random(f"{seed}:{inst.id}"),
-                    bucket=bucket,
-                )
-                with write_lock:
-                    if ckpt_fh is not None:
-                        ckpt_fh.write(
-                            json.dumps(_outcome_record(outcome), ensure_ascii=False) + "\n")
-                        ckpt_fh.flush()
-                    results[outcome.id] = outcome
-        except BaseException:
-            stop.set()
-            raise
+        while not stop.is_set():
+            with take_lock:
+                inst = next(queue, None)
+            if inst is None:
+                return
+            outcome = caption_instance(
+                inst, cfg, transport, clock=clock, rng=random.Random(f"{seed}:{inst.id}"),
+                bucket=bucket,
+            )
+            with write_lock:
+                if ckpt_fh is not None:
+                    ckpt_fh.write(json.dumps(_outcome_record(outcome), ensure_ascii=False) + "\n")
+                    ckpt_fh.flush()
+                results[outcome.id] = outcome
 
     try:
         if ckpt_fh is not None:
@@ -598,15 +591,8 @@ def caption_corpus(
             todo.append(inst)
         if skipped_captioned:
             logger.info("skipping %d instances that already have captions", skipped_captioned)
-        workers = min(concurrency, len(todo))
-        if workers:
-            queue = iter(todo)
-            with _interrupt_sets(stop.set), ThreadPoolExecutor(max_workers=workers) as pool:
-                try:
-                    for job in as_completed([pool.submit(work, queue) for _ in range(workers)]):
-                        job.result()
-                finally:
-                    stop.set()
+        queue = iter(todo)  # shared: each meme goes to one worker
+        _run_together([partial(work, queue)] * min(concurrency, len(todo)), stop.set)
     finally:
         if ckpt_fh is not None:
             try:

@@ -29,7 +29,7 @@ import os
 import signal
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import asdict, replace
 
 from . import __version__
@@ -126,22 +126,8 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# About how much text ``_write`` encodes, hashes and writes at a time.
+# How many bytes ``_sha256_file`` reads at a time.
 _BLOCK = 1 << 16
-
-
-def _utf8_blocks(pieces: Iterable[str]) -> Iterator[bytes]:
-    """``pieces`` joined into UTF-8 blocks of about ``_BLOCK`` characters."""
-    buf: list[str] = []
-    size = 0
-    for piece in pieces:
-        buf.append(piece)
-        size += len(piece)
-        if size >= _BLOCK:
-            yield "".join(buf).encode("utf-8")
-            buf, size = [], 0
-    if buf:
-        yield "".join(buf).encode("utf-8")
 
 
 def _write(path: str, data: str | bytes | Iterable[str]) -> str:
@@ -150,22 +136,22 @@ def _write(path: str, data: str | bytes | Iterable[str]) -> str:
     directory synced, so the rename outlives a power loss too.
 
     ``data`` is bytes, text, or text in pieces (a str or bytes is one
-    piece).  Text is UTF-8.  It is encoded, hashed and written about
-    ``_BLOCK`` characters at a time, so an output in pieces is never held
-    whole; one that fails to encode part way leaves no output and no temp
-    file.  Returns the sha256 hex digest of the bytes written."""
-    if isinstance(data, bytes):
-        blocks: Iterable[bytes] = (data,)
-    else:
-        blocks = _utf8_blocks((data,) if isinstance(data, str) else data)
+    piece).  Text is UTF-8.  Each piece is encoded, hashed and written in
+    turn, so an output in pieces is never held whole; one that fails to
+    encode part way leaves no output and no temp file.  Returns the sha256
+    hex digest of the bytes written."""
+    if isinstance(data, (str, bytes)):
+        data = (data,)
     digest = hashlib.sha256()
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for block in blocks:
-                digest.update(block)
-                fh.write(block)
+            for piece in data:
+                if isinstance(piece, str):
+                    piece = piece.encode("utf-8")
+                digest.update(piece)
+                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -280,6 +266,33 @@ def _resolve(args: argparse.Namespace, config: dict):
         except (ValueError, OverflowError):  # OverflowError: float() of a huge int
             pass
         raise ValueError(f"{source} must be {what}, not {json.dumps(val)}")
+
+
+# The options that name a file some command reads.
+_INPUT_FLAGS = ("config", "hierarchy", "corpus", "tune_dev", "gold", "pred", "model",
+                "candidates", "references")
+
+
+def _check_outputs(args: argparse.Namespace):
+    """Refuse (ValueError naming both flags) an output, or its manifest,
+    that is the same path as an input or another output once links are
+    resolved: writing it would replace the file the run reads or writes."""
+    seen: dict[str, str] = {}
+    for dest in _INPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if path:
+            seen.setdefault(os.path.realpath(path), f"--{dest.replace('_', '-')} {path}")
+    for dest in ("out", "captions_out"):
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        for name, out in ((f"{flag} {path}", path),
+                          (f"the {flag} manifest {path}.manifest.json", path + ".manifest.json")):
+            other = seen.setdefault(os.path.realpath(out), name)
+            if other != name:
+                raise ValueError(f"{name} is the same file as {other}: an output may "
+                                 f"not replace an input or another output")
 
 
 def _print_table(rows: list[tuple[str, float]], out=None):
@@ -651,6 +664,7 @@ def main(argv: list[str] | None = None, transport=None) -> int:
     try:
         config = _Inputs(args).read("config", _config) if args.config else {}
         _resolve(args, config)
+        _check_outputs(args)
         # caption alone takes the injectable transport (tests, benchmarks).
         extra = {"transport": transport} if args.command == "caption" else {}
         return COMMANDS[args.command](args, _Inputs(args), **extra)

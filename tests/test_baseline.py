@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -667,6 +668,101 @@ def test_a_failing_head_group_stops_the_others():
     # The other groups stopped at their next epoch, and none outlived train.
     assert len(calls) < 10**4
     assert not [t for t in threading.enumerate() if t.name.startswith("descent")]
+
+
+# -- the thread runner -----------------------------------------------------------
+
+
+def _runner_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("runner")]
+
+
+def test_a_raising_call_stops_its_siblings_from_its_own_thread():
+    stop, stopped_on = threading.Event(), []
+
+    def halt():
+        stopped_on.append(threading.current_thread().name)
+        stop.set()
+
+    def failing():
+        raise RuntimeError("call failed")
+
+    with pytest.raises(RuntimeError, match="call failed"):
+        baseline._run_together([lambda: stop.wait(30), failing], halt, "runner")
+    # Once from the failing call's thread, then once after the join.
+    assert stopped_on == ["runner_1", threading.current_thread().name]
+
+
+def test_the_first_exception_propagates_once_every_thread_has_ended():
+    stop = threading.Event()
+
+    def first():
+        raise KeyError("first")
+
+    def second():
+        stop.wait(30)
+        raise ValueError("second")
+
+    with pytest.raises(KeyError, match="first"):
+        baseline._run_together([second, first, second], stop.set, "runner")
+    assert not _runner_threads()
+
+
+def test_the_runner_stops_once_after_every_call_succeeds():
+    ended, stops = [], []
+    baseline._run_together([lambda k=k: ended.append(k) for k in range(3)],
+                           lambda: stops.append(sorted(ended)), "runner")
+    assert stops == [[0, 1, 2]]
+    assert not _runner_threads()
+
+
+def test_ctrl_c_only_stops_the_calls_until_every_thread_has_ended():
+    # Two SIGINTs while one call waits on the stop: the first only stops,
+    # the second does nothing more, and KeyboardInterrupt comes after the
+    # waiting call has ended.
+    stop, stops, ended = threading.Event(), [], []
+
+    def halt():
+        stops.append(None)
+        stop.set()
+
+    def interrupting():
+        os.kill(os.getpid(), signal.SIGINT)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    def waiting():
+        ended.append(stop.wait(30))
+
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            baseline._run_together([waiting, interrupting], halt, "runner")
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert ended == [True]
+    assert len(stops) == 2  # the Ctrl-C, then the one after the join
+    assert not _runner_threads()
+
+
+def test_a_runner_off_the_main_thread_leaves_the_sigint_handler_alone():
+    seen = []
+
+    def look():
+        seen.append(signal.getsignal(signal.SIGINT))
+
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        baseline._run_together([look], lambda: None)  # the main thread
+        caller = threading.Thread(target=baseline._run_together, args=([look], lambda: None))
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert seen[0] is not signal.default_int_handler
+    assert seen[1] is signal.default_int_handler
 
 
 # -- thresholds ----------------------------------------------------------------

@@ -1946,3 +1946,82 @@ def test_caption_checkpoint_is_synced_before_it_is_closed(tmp_path, monkeypatch)
     assert calls[0] == ("fsync", ck.stat().st_ino)
     assert [c[0] for c in calls[1:]] == ["fsync", "replace", "fsync dir"]
     assert len(read_text(ck).splitlines()) == len(CAPTION_CORPUS)
+
+
+# -- outputs that name an input ----------------------------------------------------
+
+def test_caption_refuses_an_out_that_is_its_corpus(tmp_path, capsys):
+    # A one-line corpus with no final newline read as a checkpoint would
+    # lose that line as a torn tail, then take every meme's outcome.
+    corpus = write(tmp_path / "c.json", json.dumps(CAPTION_CORPUS))
+    before = Path(corpus).read_bytes()
+    transport = ScriptedTransport()
+    assert main(["caption", "--corpus", corpus, "--out", corpus], transport=transport) == 1
+    err = capsys.readouterr().err
+    assert f"--out {corpus} is the same file as --corpus {corpus}" in err, err
+    assert transport.requests == []
+    assert Path(corpus).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
+def test_caption_refuses_a_captions_out_that_is_its_checkpoint(tmp_path, capsys):
+    # The captions array would replace the checkpoint, and with it the
+    # refused_both outcome, leaving a file no later run could resume from.
+    ck = str(tmp_path / "ck.jsonl")
+    corpus = write(tmp_path / "c.json", json.dumps(_finished_checkpoint(ck, {"a": None})))
+    before = Path(ck).read_bytes()
+    transport = ScriptedTransport()
+    assert main(["caption", "--corpus", corpus, "--out", ck, "--captions-out", ck],
+                transport=transport) == 1
+    err = capsys.readouterr().err
+    assert f"--captions-out {ck} is the same file as --out {ck}" in err, err
+    assert transport.requests == []
+    assert Path(ck).read_bytes() == before
+
+
+def _overlapping_runs(tmp_path, model_text):
+    """(argv, input flag, its path) for each command whose --out names
+    one of its own inputs, each input a fresh copy in ``tmp_path``."""
+    def copy(src, name):
+        return write(tmp_path / name, read_text(src))
+
+    corpus = _write_mem_corpus(tmp_path)
+    model = write(tmp_path / "model.json", model_text)
+    gold, pred = copy(BIN_GOLD, "gold.json"), copy(BIN_PRED, "pred.json")
+    cands = write(tmp_path / "cands.txt", "a cat on a mat\n")
+    refs = write(tmp_path / "refs.txt", "the cat sat on the mat\n")
+    return {
+        "train": (["train", "--hierarchy", WORKED_H, "--corpus", corpus, "--dim", "1024",
+                   "--epochs", "5", "--out", corpus], "--corpus", corpus),
+        "predict": (["predict", "--model", model, "--hierarchy", WORKED_H, "--corpus", corpus,
+                     "--out", model], "--model", model),
+        "score": (["score", "--task", "binary", "--gold", gold, "--pred", pred,
+                   "--out", gold], "--gold", gold),
+        "caption-eval": (["caption-eval", "--candidates", cands, "--references", refs,
+                          "--out", refs], "--references", refs),
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "score", "caption-eval"])
+def test_an_out_that_names_an_input_is_refused(tmp_path, capsys, saved_model, command):
+    argv, flag, path = _overlapping_runs(tmp_path, saved_model[1])[command]
+    before = Path(path).read_bytes()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"--out {path} is the same file as {flag} {path}" in err, err
+    assert Path(path).read_bytes() == before
+    assert not any(name.endswith(".manifest.json") for name in os.listdir(tmp_path))
+
+
+def test_an_out_whose_manifest_or_link_names_an_input_is_refused(tmp_path, capsys):
+    gold = write(tmp_path / "gold.json", read_text(BIN_GOLD))
+    pred = write(tmp_path / "report.json.manifest.json", read_text(BIN_PRED))
+    link = tmp_path / "link.json"
+    link.symlink_to(gold)
+    for out, want in ((str(tmp_path / "report.json"),
+                       f"the --out manifest {pred} is the same file as --pred {pred}"),
+                      (str(link), f"--out {link} is the same file as --gold {gold}")):
+        assert main(["score", "--task", "binary", "--gold", gold, "--pred", pred,
+                     "--out", out]) == 1
+        assert want in capsys.readouterr().err
+    assert read_text(gold) == read_text(BIN_GOLD) and read_text(pred) == read_text(BIN_PRED)
